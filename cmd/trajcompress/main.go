@@ -5,10 +5,8 @@
 //
 //	trajcompress -alg tdtr:30 [-in file] [-out file] [flags]
 //
-//	-alg string     algorithm spec, e.g. ndp:30, tdtr:30, opwtr:50,
-//	                opwsp:30:5, tdsp:30:5, nopw:30, bopw:30, uniform:3,
-//	                radial:25, dr:40, operb:30, ciseds:30, cisedw:30
-//	                (required)
+//	-alg string     algorithm spec, e.g. tdtr:30 or opwsp:30:5 (required);
+//	                trajcompress -h lists every algorithm
 //	-in string      input file (default: stdin)
 //	-out string     output file (default: stdout)
 //	-from string    input format: csv, bin or gpx (default "csv")
@@ -38,7 +36,7 @@ func main() {
 	log.SetPrefix("trajcompress: ")
 
 	var (
-		algSpec  = flag.String("alg", "", "algorithm spec (required), e.g. tdtr:30 or opwsp:30:5")
+		algSpec  = flag.String("alg", "", "algorithm spec (required), e.g. tdtr:30 or opwsp:30:5; one of\n"+trajcomp.AlgorithmHelp())
 		in       = flag.String("in", "", "input file (default stdin)")
 		out      = flag.String("out", "", "output file (default stdout)")
 		from     = flag.String("from", "csv", "input format: csv, bin or gpx")

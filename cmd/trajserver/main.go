@@ -6,10 +6,9 @@
 //	trajserver [-addr host:port] [-compress spec] [-cell metres]
 //
 //	-addr string      listen address (default "127.0.0.1:7007")
-//	-compress string  online compression: none, nopw:D[:W], opwtr:D[:W],
-//	                  opwsp:D:V[:W], dr:D, operb:D, ciseds:D, cisedw:D
-//	                  (default "opwtr:30"; the one-pass operb/ciseds/cisedw
-//	                  decide each point in O(1) — see internal/stream)
+//	-compress string  online compression spec, or none (default
+//	                  "opwtr:30"); trajserver -h lists every algorithm that
+//	                  can run online
 //	-cell float       spatial index cell size in metres (default 1000)
 //	-index string     spatiotemporal index: grid or rtree (default "grid")
 //	-shards int       store shards (object-ID hash partitions, each with its
@@ -84,6 +83,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/metrics"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -121,7 +121,7 @@ func main() {
 
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7007", "listen address")
-		compSpec  = flag.String("compress", "opwtr:30", "online compression spec (none, nopw:D, opwtr:D, opwsp:D:V, dr:D, operb:D, ciseds:D, cisedw:D)")
+		compSpec  = flag.String("compress", "opwtr:30", "online compression spec: none, or one of\n"+compress.Help(true))
 		cell      = flag.Float64("cell", 1000, "spatial index cell size in metres")
 		indexName = flag.String("index", "grid", "spatiotemporal index: grid or rtree")
 		shards    = flag.Int("shards", 0, "store shards, rounded up to a power of two (0 = max(8, 2×GOMAXPROCS))")

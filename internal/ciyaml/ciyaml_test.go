@@ -238,6 +238,29 @@ func TestCIScriptsExerciseReplication(t *testing.T) {
 	}
 }
 
+// TestCIScriptsBuildBenchModule pins the coverage of the frozen benchmark
+// harness: bench/ is its own module, invisible to `go build ./...` and
+// `go test ./...`, so the verify gate must build and run it explicitly (and
+// the CI check job must run the verify gate) — otherwise a signature drift
+// against the harness surfaces only at the next benchmark run.
+func TestCIScriptsBuildBenchModule(t *testing.T) {
+	root := repoRoot(t)
+	checks := []struct{ file, substr, why string }{
+		{"scripts/check.sh", "bash bench/run.sh -smoke", "the verify gate must run the benchmark smoke against this checkout's trajserver"},
+		{"scripts/check.sh", "cd bench && export GOFLAGS=-mod=mod && go vet . && go test .", "the verify gate must vet and test the bench module"},
+		{".github/workflows/ci.yml", "bash scripts/check.sh", "the CI check job must run the verify gate"},
+	}
+	for _, c := range checks {
+		src, err := os.ReadFile(filepath.Join(root, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), c.substr) {
+			t.Errorf("%s does not use %q: %s", c.file, c.substr, c.why)
+		}
+	}
+}
+
 // TestCIWorkflowShape pins the specifics ISSUE-level requirements of
 // ci.yml: a blocking check job on the two most recent Go releases with
 // caching, and a non-blocking bench-compare job.
@@ -414,6 +437,8 @@ func TestCIFuzzJobShape(t *testing.T) {
 		"FuzzOPWSPStreamMatchesBatch": "./internal/stream",
 		"FuzzOPERBStreamMatchesBatch": "./internal/stream",
 		"FuzzCISEDStreamMatchesBatch": "./internal/stream",
+		"FuzzDecodeFile":              "./internal/codec",
+		"FuzzDecodeCSV":               "./internal/codec",
 	}
 	include := fuzz.Get("strategy").Get("matrix").Get("include")
 	if include == nil || include.Kind != SeqNode {

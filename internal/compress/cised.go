@@ -51,9 +51,11 @@ func (a CISEDS) Name() string { return "CISED-S" }
 // Compress implements Algorithm. Input timestamps must strictly increase
 // (trajectory.Validate), as everywhere in this package.
 func (a CISEDS) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	return cisedCompress(p, NewCISEDEngine(a.Threshold, false))
+	return runEngine(p, a.NewEngine())
 }
+
+// NewEngine implements Online.
+func (a CISEDS) NewEngine() Engine { return NewCISEDEngine(a.Threshold, false) }
 
 // CISEDW is the weak variant: instead of retaining an input sample on a
 // cut, it closes each window with a point synthesized from the feasible
@@ -75,25 +77,15 @@ func (a CISEDW) WeakSimplification() bool { return true }
 // Compress implements Algorithm. All output timestamps are input
 // timestamps; only positions are synthesized.
 func (a CISEDW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	return cisedCompress(p, NewCISEDEngine(a.Threshold, true))
+	return runEngine(p, a.NewEngine())
 }
 
-func cisedCompress(p trajectory.Trajectory, e *CISEDEngine) trajectory.Trajectory {
-	if q, ok := small(p); ok {
-		return q
-	}
-	out := make(trajectory.Trajectory, 0, 8)
-	for _, s := range p {
-		out = append(out, e.Push(s)...)
-	}
-	return append(out, e.Flush()...)
-}
+// NewEngine implements Online.
+func (a CISEDW) NewEngine() Engine { return NewCISEDEngine(a.Threshold, true) }
 
-// CISEDEngine is the incremental core shared by CISED-S and CISED-W and by
-// the online wrappers in internal/stream (so stream output equals batch
-// output by construction). State is O(1) in the input: the anchor, at most
-// one pending sample, and the convex feasible-velocity polygon.
+// CISEDEngine is the Engine of CISED-S and CISED-W. State is O(1) in the
+// input: the anchor, at most one pending sample, and the convex
+// feasible-velocity polygon.
 type CISEDEngine struct {
 	eps  float64
 	weak bool

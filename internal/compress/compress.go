@@ -1,6 +1,9 @@
 // Package compress implements the trajectory compression algorithms studied
 // and proposed by the paper, all as pure batch functions over immutable
-// trajectories (online/streaming counterparts live in internal/stream):
+// trajectories. It is also the only place that knows which algorithms exist
+// and how a spec string names one (the table behind Parse), and what each
+// incremental algorithm does per point (the Engine of every Online
+// algorithm, which internal/stream runs over live position streams):
 //
 //   - Simple sequential baselines (§2): Uniform (every i-th point, Tobler),
 //     Radial (Euclidean neighbour elimination) and Angular (Jenks' angular

@@ -33,22 +33,14 @@ func (a OPERB) Name() string { return "OPERB" }
 // retaining both endpoints, and every discarded sample is within Threshold
 // of the output segment covering it.
 func (a OPERB) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance(a.Name(), a.Threshold)
-	if q, ok := small(p); ok {
-		return q
-	}
-	e := NewOPERBEngine(a.Threshold)
-	out := make(trajectory.Trajectory, 0, 8)
-	for _, s := range p {
-		out = append(out, e.Push(s)...)
-	}
-	return append(out, e.Flush()...)
+	return runEngine(p, a.NewEngine())
 }
 
-// OPERBEngine is the incremental core of OPERB, shared by the batch
-// algorithm above and the online wrapper in internal/stream (so the stream
-// output equals the batch output by construction). State is O(1): the
-// anchor, one tentative endpoint, and the feasible direction interval.
+// NewEngine implements Online.
+func (a OPERB) NewEngine() Engine { return NewOPERBEngine(a.Threshold) }
+
+// OPERBEngine is the Engine of OPERB. State is O(1): the anchor, one
+// tentative endpoint, and the feasible direction interval.
 type OPERBEngine struct {
 	eps float64
 
@@ -89,8 +81,8 @@ func (e *OPERBEngine) Pending() int {
 
 // Push feeds one sample and returns the samples whose retention became
 // definite. The returned slice is only valid until the next call. Callers
-// must feed strictly increasing timestamps (the stream wrapper enforces
-// this); OPERB itself only uses positions.
+// must feed strictly increasing timestamps (internal/stream enforces this);
+// OPERB itself only uses positions.
 func (e *OPERBEngine) Push(s trajectory.Sample) []trajectory.Sample {
 	e.out = e.out[:0]
 	if !e.started {

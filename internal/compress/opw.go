@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 
+	"repro/internal/geo"
 	"repro/internal/sed"
 	"repro/internal/trajectory"
 )
@@ -34,65 +35,6 @@ func (b BreakStrategy) String() string {
 	}
 }
 
-// violationFunc reports whether intermediate point i violates the halting
-// condition for the candidate segment from anchor to float.
-type violationFunc func(p trajectory.Trajectory, anchor, float, i int) bool
-
-// openingWindow runs the shared opening-window scheme (paper §2.2 and the
-// SPT pseudocode of §3.3).
-//
-// The anchor starts at the first point and the float two positions later.
-// All intermediate points are tested; on the first violation the series is
-// cut according to strategy, the cut point becomes the new anchor, and the
-// window re-opens. Without violation the float moves one up.
-//
-// When dropTail is false (the default behaviour of all exported algorithms)
-// the final data point is always emitted, closing the last window — the
-// countermeasure the paper calls for after observing that OW algorithms "may
-// lose the last few data points". With dropTail true the raw behaviour of
-// Figs. 2–3 is reproduced for ablation: the tail after the last cut is
-// discarded.
-func openingWindow(p trajectory.Trajectory, strategy BreakStrategy, dropTail bool, violates violationFunc) trajectory.Trajectory {
-	if out, ok := small(p); ok {
-		return out
-	}
-	out := trajectory.Trajectory{p[0]}
-	anchor := 0
-	e := anchor + 2
-	for e < p.Len() {
-		cut := -1
-		for i := anchor + 1; i < e; i++ {
-			if violates(p, anchor, e, i) {
-				if strategy == BreakBefore {
-					cut = e - 1
-				} else {
-					cut = i
-				}
-				break
-			}
-		}
-		if cut < 0 {
-			e++
-			continue
-		}
-		if cut == anchor {
-			// A BreakBefore cut can coincide with the anchor when the window
-			// is at its minimum size; advance by one point to guarantee
-			// progress.
-			cut = anchor + 1
-		}
-		out = append(out, p[cut])
-		anchor = cut
-		e = anchor + 2
-	}
-	if !dropTail {
-		if last := p[p.Len()-1]; out[len(out)-1] != last {
-			out = append(out, last)
-		}
-	}
-	return out
-}
-
 // NOPW is the Normal Opening Window algorithm (§2.2): perpendicular-distance
 // halting condition, cutting at the data point causing the threshold excess.
 type NOPW struct {
@@ -101,6 +43,11 @@ type NOPW struct {
 	// DropTail reproduces the raw tail-losing behaviour of Fig. 2 when set;
 	// by default the final point is retained.
 	DropTail bool
+	// MaxWindow caps the buffered window (0 = unbounded, otherwise ≥ 3):
+	// when the window outgrows it, the sample before the float is retained
+	// to bound the memory of an online run. It changes the output, so it is
+	// part of the algorithm's definition, batch or online.
+	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -108,10 +55,15 @@ func (a NOPW) Name() string { return "NOPW" }
 
 // Compress implements Algorithm.
 func (a NOPW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance("NOPW", a.Threshold)
-	return openingWindow(p, BreakAtViolation, a.DropTail, func(p trajectory.Trajectory, anchor, float, i int) bool {
-		return segBetween(p, anchor, float).PerpDist(p[i].Pos()) > a.Threshold
-	})
+	return runEngine(p, a.NewEngine())
+}
+
+// NewEngine implements Online.
+func (a NOPW) NewEngine() Engine {
+	return newOPWEngine("NOPW", a.Threshold, BreakAtViolation, a.DropTail, a.MaxWindow,
+		func(w []trajectory.Sample, i int) bool {
+			return geo.Seg(w[0].Pos(), w[len(w)-1].Pos()).PerpDist(w[i].Pos()) > a.Threshold
+		})
 }
 
 // BOPW is the Before Opening Window algorithm (§2.2): like NOPW but cutting
@@ -121,6 +73,8 @@ type BOPW struct {
 	Threshold float64
 	// DropTail reproduces the raw tail-losing behaviour of Fig. 3 when set.
 	DropTail bool
+	// MaxWindow caps the buffered window; see NOPW.
+	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -128,10 +82,18 @@ func (a BOPW) Name() string { return "BOPW" }
 
 // Compress implements Algorithm.
 func (a BOPW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance("BOPW", a.Threshold)
-	return openingWindow(p, BreakBefore, a.DropTail, func(p trajectory.Trajectory, anchor, float, i int) bool {
-		return segBetween(p, anchor, float).PerpDist(p[i].Pos()) > a.Threshold
-	})
+	return runEngine(p, a.NewEngine())
+}
+
+// NewEngine implements Online. The halting condition repeats NOPW's literal
+// rather than sharing a constructor: a closure returned through an inlined
+// helper is compiled without inlining its own calls, which cost the scan
+// 50 % in BenchmarkAlgorithms.
+func (a BOPW) NewEngine() Engine {
+	return newOPWEngine("BOPW", a.Threshold, BreakBefore, a.DropTail, a.MaxWindow,
+		func(w []trajectory.Sample, i int) bool {
+			return geo.Seg(w[0].Pos(), w[len(w)-1].Pos()).PerpDist(w[i].Pos()) > a.Threshold
+		})
 }
 
 // OPWTR is the paper's opening-window time-ratio algorithm (§3.2): the
@@ -145,6 +107,8 @@ type OPWTR struct {
 	Strategy BreakStrategy
 	// DropTail disables the keep-last countermeasure when set.
 	DropTail bool
+	// MaxWindow caps the buffered window; see NOPW.
+	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -152,10 +116,15 @@ func (a OPWTR) Name() string { return "OPW-TR" }
 
 // Compress implements Algorithm.
 func (a OPWTR) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance("OPWTR", a.Threshold)
-	return openingWindow(p, a.Strategy, a.DropTail, func(p trajectory.Trajectory, anchor, float, i int) bool {
-		return sed.Distance(p[i], p[anchor], p[float]) > a.Threshold
-	})
+	return runEngine(p, a.NewEngine())
+}
+
+// NewEngine implements Online.
+func (a OPWTR) NewEngine() Engine {
+	return newOPWEngine("OPWTR", a.Threshold, a.Strategy, a.DropTail, a.MaxWindow,
+		func(w []trajectory.Sample, i int) bool {
+			return sed.Distance(w[i], w[0], w[len(w)-1]) > a.Threshold
+		})
 }
 
 // OPWSP is the paper's spatiotemporal opening-window algorithm — the
@@ -172,6 +141,8 @@ type OPWSP struct {
 	SpeedThreshold float64
 	// DropTail disables the keep-last countermeasure when set.
 	DropTail bool
+	// MaxWindow caps the buffered window; see NOPW.
+	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -179,17 +150,21 @@ func (a OPWSP) Name() string { return fmt.Sprintf("OPW-SP(%gm/s)", a.SpeedThresh
 
 // Compress implements Algorithm.
 func (a OPWSP) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	validateDistance("OPWSP", a.DistThreshold)
+	return runEngine(p, a.NewEngine())
+}
+
+// NewEngine implements Online.
+func (a OPWSP) NewEngine() Engine {
 	if a.SpeedThreshold <= 0 {
 		panic(fmt.Sprintf("compress: OPWSP: non-positive speed threshold %v", a.SpeedThreshold))
 	}
-	return openingWindow(p, BreakAtViolation, a.DropTail, func(p trajectory.Trajectory, anchor, float, i int) bool {
-		if sed.Distance(p[i], p[anchor], p[float]) > a.DistThreshold {
-			return true
-		}
-		// The pseudocode's ‖v_i − v_{i−1}‖ check uses the original series'
-		// derived speeds around point i; i+1 ≤ float < len(p) so the lookup
-		// is always in range.
-		return speedJump(p, i) > a.SpeedThreshold
-	})
+	return newOPWEngine("OPWSP", a.DistThreshold, BreakAtViolation, a.DropTail, a.MaxWindow,
+		func(w []trajectory.Sample, i int) bool {
+			if sed.Distance(w[i], w[0], w[len(w)-1]) > a.DistThreshold {
+				return true
+			}
+			// The pseudocode's ‖v_i − v_{i−1}‖ check uses the derived speeds
+			// around point i; i+1 ≤ float, so the lookup stays inside w.
+			return speedJump(w, i) > a.SpeedThreshold
+		})
 }

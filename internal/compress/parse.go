@@ -1,180 +1,189 @@
 package compress
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Parse builds an Algorithm from a compact textual spec, as used by the
-// command-line tools:
-//
-//	uniform:K            keep every K-th point
-//	radial:D             neighbour elimination, min spacing D metres
-//	angular:A            Jenks criterion, min turn angle A radians
-//	dr:D                 dead reckoning, deviation D metres
-//	ndp:D                Douglas-Peucker, perpendicular tolerance D metres
-//	ndphull:D            hull-accelerated Douglas-Peucker
-//	nopw:D               normal opening window
-//	bopw:D               before opening window
-//	tdtr:D               top-down time ratio
-//	opwtr:D              opening-window time ratio
-//	opwsp:D:V            opening-window spatiotemporal, speed tolerance V m/s
-//	tdsp:D:V             top-down spatiotemporal
-//	bu:D                 bottom-up, perpendicular tolerance D metres
-//	butr:D               bottom-up time ratio
-//	sw:D:W               sliding window: Douglas-Peucker in windows of W points
-//	swtr:D:W             sliding window time ratio
-//	ndpn:N               Douglas-Peucker to a budget of N points
-//	tdtrn:N              top-down time ratio to a budget of N points
-//	squish:N             SQUISH online sketch of N points
-//	vw:A                 Visvalingam–Whyatt, effective area tolerance A m²
-//	operb:D              one-pass error bounded, perpendicular tolerance D
-//	ciseds:D             one-pass strong SED simplification, tolerance D
-//	cisedw:D             one-pass weak SED simplification (synthesizes
-//	                     joints; see WeakSimplifier), tolerance D
-//
-// Algorithm names are case-insensitive.
+// row is one entry of the algorithm table, the only place in the module
+// that maps a spec name to an algorithm.
+type row struct {
+	name string
+	// args is the argument grammar as it appears in help texts: one letter
+	// per colon-separated argument (see checkArg), with an optional trailing
+	// window cap written "[:W]".
+	args string
+	doc  string
+	// build receives one value per letter of args; an omitted optional
+	// argument is 0.
+	build func(a []float64) Algorithm
+}
+
+var table = []row{
+	{"uniform", "K", "keep every K-th point",
+		func(a []float64) Algorithm { return Uniform{K: int(a[0])} }},
+	{"radial", "D", "neighbour elimination, min spacing D metres",
+		func(a []float64) Algorithm { return Radial{Threshold: a[0]} }},
+	{"angular", "A", "Jenks criterion, min turn angle A radians",
+		func(a []float64) Algorithm { return Angular{AngleThreshold: a[0]} }},
+	{"dr", "D", "dead reckoning, deviation D metres",
+		func(a []float64) Algorithm { return DeadReckoning{Threshold: a[0]} }},
+	{"ndp", "D", "Douglas-Peucker, perpendicular tolerance D metres",
+		func(a []float64) Algorithm { return DouglasPeucker{Threshold: a[0]} }},
+	{"ndphull", "D", "hull-accelerated Douglas-Peucker",
+		func(a []float64) Algorithm { return DouglasPeuckerHull{Threshold: a[0]} }},
+	{"nopw", "D[:W]", "normal opening window (W: optional window cap in points, 0 = unbounded)",
+		func(a []float64) Algorithm { return NOPW{Threshold: a[0], MaxWindow: int(a[1])} }},
+	{"bopw", "D[:W]", "before opening window",
+		func(a []float64) Algorithm { return BOPW{Threshold: a[0], MaxWindow: int(a[1])} }},
+	{"tdtr", "D", "top-down time ratio",
+		func(a []float64) Algorithm { return TDTR{Threshold: a[0]} }},
+	{"opwtr", "D[:W]", "opening-window time ratio",
+		func(a []float64) Algorithm { return OPWTR{Threshold: a[0], MaxWindow: int(a[1])} }},
+	{"opwsp", "D:V[:W]", "opening-window spatiotemporal, speed tolerance V m/s",
+		func(a []float64) Algorithm {
+			return OPWSP{DistThreshold: a[0], SpeedThreshold: a[1], MaxWindow: int(a[2])}
+		}},
+	{"tdsp", "D:V", "top-down spatiotemporal",
+		func(a []float64) Algorithm { return TDSP{DistThreshold: a[0], SpeedThreshold: a[1]} }},
+	{"bu", "D", "bottom-up, perpendicular tolerance D metres",
+		func(a []float64) Algorithm { return BottomUp{Threshold: a[0]} }},
+	{"butr", "D", "bottom-up time ratio",
+		func(a []float64) Algorithm { return BottomUpTR{Threshold: a[0]} }},
+	{"sw", "D:W", "sliding window: Douglas-Peucker in windows of W points",
+		func(a []float64) Algorithm { return SlidingWindow{Threshold: a[0], Window: int(a[1])} }},
+	{"swtr", "D:W", "sliding window time ratio",
+		func(a []float64) Algorithm { return SlidingWindowTR{Threshold: a[0], Window: int(a[1])} }},
+	{"ndpn", "N", "Douglas-Peucker to a budget of N points",
+		func(a []float64) Algorithm { return DouglasPeuckerN{N: int(a[0])} }},
+	{"tdtrn", "N", "top-down time ratio to a budget of N points",
+		func(a []float64) Algorithm { return TDTRN{N: int(a[0])} }},
+	{"squish", "N", "SQUISH online sketch of N points",
+		func(a []float64) Algorithm { return SQUISH{Capacity: int(a[0])} }},
+	{"vw", "A", "Visvalingam-Whyatt, effective area tolerance A m²",
+		func(a []float64) Algorithm { return Visvalingam{AreaThreshold: a[0]} }},
+	{"operb", "D", "one-pass error bounded, perpendicular tolerance D",
+		func(a []float64) Algorithm { return OPERB{Threshold: a[0]} }},
+	{"ciseds", "D", "one-pass strong SED simplification, tolerance D",
+		func(a []float64) Algorithm { return CISEDS{Threshold: a[0]} }},
+	{"cisedw", "D", "one-pass weak SED simplification (synthesizes joint points), tolerance D",
+		func(a []float64) Algorithm { return CISEDW{Threshold: a[0]} }},
+}
+
+// letters returns one letter per argument of r, and whether the last one
+// is optional.
+func (r row) letters() (letters string, optional bool) {
+	required, optional := strings.CutSuffix(r.args, "[:W]")
+	letters = strings.ReplaceAll(required, ":", "")
+	if optional {
+		letters += "W"
+	}
+	return letters, optional
+}
+
+// online reports whether r's algorithm can run incrementally.
+func (r row) online() bool {
+	letters, _ := r.letters()
+	_, ok := r.build(make([]float64, len(letters))).(Online)
+	return ok
+}
+
+// checkArg validates v against its argument letter: D, A (distance, angle
+// or area tolerance) ≥ 0; V (speed tolerance) > 0; K (stride) an integer
+// ≥ 1; N (point budget) an integer ≥ 2; W (window) an integer ≥ 3, or 0
+// for "unbounded" where the window is an optional cap.
+func checkArg(letter byte, v float64, optional bool) error {
+	//lint:allow floatcmp integrality check on a parsed numeric flag
+	integer := v == float64(int(v))
+	switch letter {
+	case 'V':
+		if v <= 0 {
+			return errors.New("speed tolerance must be positive")
+		}
+	case 'K':
+		if !integer || v < 1 {
+			return errors.New("stride must be a positive integer")
+		}
+	case 'N':
+		if !integer || v < 2 {
+			return errors.New("point budget must be an integer ≥ 2")
+		}
+	case 'W':
+		//lint:allow floatcmp zero sentinel on a parsed window flag
+		if !integer || (v < 3 && !(optional && v == 0)) {
+			if optional {
+				return errors.New("window must be 0 or an integer ≥ 3")
+			}
+			return errors.New("window must be an integer ≥ 3")
+		}
+	default:
+		if v < 0 {
+			return errors.New("negative threshold")
+		}
+	}
+	return nil
+}
+
+// Names lists the algorithm names Parse accepts, in table order; with
+// online set, only those that can run incrementally (see Online).
+func Names(online bool) []string {
+	var names []string
+	for _, r := range table {
+		if !online || r.online() {
+			names = append(names, r.name)
+		}
+	}
+	return names
+}
+
+// Help renders the spec grammar, one "name:ARGS  description" line per
+// algorithm; with online set, only those that can run incrementally. Every
+// help text of the command-line tools is this string.
+func Help(online bool) string {
+	var lines []string
+	for _, r := range table {
+		if !online || r.online() {
+			lines = append(lines, fmt.Sprintf("%-20s %s", r.name+":"+r.args, r.doc))
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// Parse builds an Algorithm from a compact textual spec "name:arg:…", as
+// used by the command-line tools and the server; Help prints the grammar.
+// Names are case-insensitive and whitespace around fields is ignored. W in
+// brackets is an optional window cap for the opening-window family
+// (default 0 = unbounded).
 func Parse(spec string) (Algorithm, error) {
 	parts := strings.Split(spec, ":")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
 	args := parts[1:]
-
-	num := func(i int) (float64, error) {
-		if i >= len(args) {
-			return 0, fmt.Errorf("compress: spec %q: missing argument %d for %s", spec, i+1, name)
+	for _, r := range table {
+		if r.name != name {
+			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(args[i]), 64)
-		if err != nil {
-			return 0, fmt.Errorf("compress: spec %q: argument %d: %w", spec, i+1, err)
+		letters, optional := r.letters()
+		required := len(letters)
+		if optional {
+			required--
 		}
-		return v, nil
+		if len(args) < required || len(args) > len(letters) {
+			return nil, fmt.Errorf("compress: spec %q: want %s:%s, got %d argument(s)", spec, name, r.args, len(args))
+		}
+		vals := make([]float64, len(letters))
+		for i, arg := range args {
+			v, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
+			if err == nil {
+				err = checkArg(letters[i], v, optional && i == len(letters)-1)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("compress: spec %q: argument %d: %w", spec, i+1, err)
+			}
+			vals[i] = v
+		}
+		return r.build(vals), nil
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("compress: spec %q: %s takes %d argument(s), got %d", spec, name, n, len(args))
-		}
-		return nil
-	}
-
-	switch name {
-	case "uniform":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		k, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		//lint:allow floatcmp integrality check on a parsed numeric flag
-		if k < 1 || k != float64(int(k)) {
-			return nil, fmt.Errorf("compress: spec %q: stride must be a positive integer", spec)
-		}
-		return Uniform{K: int(k)}, nil
-	case "radial", "angular", "dr", "ndp", "ndphull", "nopw", "bopw", "tdtr", "opwtr", "bu", "butr", "vw",
-		"operb", "ciseds", "cisedw":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		d, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("compress: spec %q: negative threshold", spec)
-		}
-		switch name {
-		case "radial":
-			return Radial{Threshold: d}, nil
-		case "angular":
-			return Angular{AngleThreshold: d}, nil
-		case "dr":
-			return DeadReckoning{Threshold: d}, nil
-		case "ndp":
-			return DouglasPeucker{Threshold: d}, nil
-		case "ndphull":
-			return DouglasPeuckerHull{Threshold: d}, nil
-		case "nopw":
-			return NOPW{Threshold: d}, nil
-		case "bopw":
-			return BOPW{Threshold: d}, nil
-		case "tdtr":
-			return TDTR{Threshold: d}, nil
-		case "bu":
-			return BottomUp{Threshold: d}, nil
-		case "butr":
-			return BottomUpTR{Threshold: d}, nil
-		case "vw":
-			return Visvalingam{AreaThreshold: d}, nil
-		case "operb":
-			return OPERB{Threshold: d}, nil
-		case "ciseds":
-			return CISEDS{Threshold: d}, nil
-		case "cisedw":
-			return CISEDW{Threshold: d}, nil
-		default:
-			return OPWTR{Threshold: d}, nil
-		}
-	case "ndpn", "tdtrn", "squish":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		n, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		//lint:allow floatcmp integrality check on a parsed numeric flag
-		if n < 2 || n != float64(int(n)) {
-			return nil, fmt.Errorf("compress: spec %q: point budget must be an integer ≥ 2", spec)
-		}
-		switch name {
-		case "ndpn":
-			return DouglasPeuckerN{N: int(n)}, nil
-		case "tdtrn":
-			return TDTRN{N: int(n)}, nil
-		default:
-			return SQUISH{Capacity: int(n)}, nil
-		}
-	case "sw", "swtr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		d, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		w, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		//lint:allow floatcmp integrality check on a parsed numeric flag
-		if d < 0 || w < 3 || w != float64(int(w)) {
-			return nil, fmt.Errorf("compress: spec %q: need threshold ≥ 0 and integer window ≥ 3", spec)
-		}
-		if name == "sw" {
-			return SlidingWindow{Threshold: d, Window: int(w)}, nil
-		}
-		return SlidingWindowTR{Threshold: d, Window: int(w)}, nil
-	case "opwsp", "tdsp":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		d, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		v, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		if d < 0 || v <= 0 {
-			return nil, fmt.Errorf("compress: spec %q: thresholds must be positive", spec)
-		}
-		if name == "opwsp" {
-			return OPWSP{DistThreshold: d, SpeedThreshold: v}, nil
-		}
-		return TDSP{DistThreshold: d, SpeedThreshold: v}, nil
-	default:
-		return nil, fmt.Errorf("compress: unknown algorithm %q (see Parse docs for the supported set)", name)
-	}
+	return nil, fmt.Errorf("compress: unknown algorithm %q (want %s)", name, strings.Join(Names(false), ", "))
 }

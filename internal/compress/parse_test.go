@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,13 @@ func TestParseValidSpecs(t *testing.T) {
 		{"ndpn:40", "NDP-N(40)"},
 		{"tdtrn:40", "TD-TR-N(40)"},
 		{"squish:40", "SQUISH(40)"},
+		{"vw:100", "VW"},
+		{"operb:30", "OPERB"},
+		{"ciseds:30", "CISED-S"},
+		{"cisedw:30", "CISED-W"},
+		{"opwtr:30:16", "OPW-TR"}, // optional window cap
+		{"opwsp:30:5:16", "OPW-SP(5m/s)"},
+		{"bopw:30:0", "BOPW"},      // 0 = unbounded
 		{"TDTR:30", "TD-TR"},       // case-insensitive
 		{" opwtr : 30 ", "OPW-TR"}, // whitespace-tolerant
 	}
@@ -59,6 +67,12 @@ func TestParseInvalidSpecs(t *testing.T) {
 		"uniform:2.5", // non-integer stride
 		"sw:30",       // missing window
 		"sw:30:2",     // window < 3
+		"sw:30:0",     // 0 only means "unbounded" for an optional cap
+		"nopw:30:2",   // window cap < 3
+		"nopw:30:3.5", // non-integer window cap
+		"opwsp:30:5:2",
+		"dr:30:5",     // dr takes no window
+		"none",        // "none" is the server's word, not an algorithm
 		"swtr:30:2.5", // non-integer window
 		"butr:-1",     // negative threshold
 		"squish:1",    // budget < 2
@@ -90,5 +104,60 @@ func TestParsedAlgorithmsRun(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s output invalid: %v", alg.Name(), err)
 		}
+	}
+}
+
+// Every help line, with its argument letters replaced by sample values,
+// parses to the algorithm its row builds — so the grammar shown to users is
+// the grammar Parse accepts, optional window cap included.
+func TestHelpRoundTripsThroughParse(t *testing.T) {
+	values := map[string]float64{"D": 30, "A": 0.3, "V": 5, "K": 3, "N": 40, "W": 8}
+	lines := strings.Split(Help(false), "\n")
+	if len(lines) != len(table) {
+		t.Fatalf("Help has %d lines for %d table rows", len(lines), len(table))
+	}
+	for i, r := range table {
+		grammar, capped := strings.CutSuffix(strings.Fields(lines[i])[0], "[:W]")
+		parts := strings.Split(grammar, ":")
+		if parts[0] != r.name || !strings.HasSuffix(lines[i], r.doc) {
+			t.Errorf("help line %d = %q, want row %s", i, lines[i], r.name)
+		}
+		var vals []float64
+		for j, letter := range parts[1:] {
+			v, ok := values[letter]
+			if !ok {
+				t.Fatalf("row %s: unknown argument letter %q", r.name, letter)
+			}
+			vals = append(vals, v)
+			parts[j+1] = fmt.Sprint(v)
+		}
+		spec := strings.Join(parts, ":")
+		if capped {
+			checkParse(t, spec, r.build(append(vals[:len(vals):len(vals)], 0)))
+			spec, vals = spec+":8", append(vals, 8)
+		}
+		checkParse(t, spec, r.build(vals))
+	}
+}
+
+func checkParse(t *testing.T, spec string, want Algorithm) {
+	t.Helper()
+	got, err := Parse(spec)
+	if err != nil {
+		t.Errorf("Parse(%q): %v", spec, err)
+	} else if got != want {
+		t.Errorf("Parse(%q) = %#v, want %#v", spec, got, want)
+	}
+}
+
+// Online capability is read off the algorithm values, not listed by hand;
+// this pins the set the server accepts.
+func TestOnlineNames(t *testing.T) {
+	want := "dr nopw bopw opwtr opwsp operb ciseds cisedw"
+	if got := strings.Join(Names(true), " "); got != want {
+		t.Errorf("Names(true) = %q, want %q", got, want)
+	}
+	if got := len(Names(false)); got != len(table) {
+		t.Errorf("Names(false) has %d names for %d rows", got, len(table))
 	}
 }

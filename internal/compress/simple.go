@@ -121,24 +121,11 @@ func (d DeadReckoning) Name() string { return fmt.Sprintf("DeadReckoning(%g)", d
 
 // Compress implements Algorithm.
 func (d DeadReckoning) Compress(p trajectory.Trajectory) trajectory.Trajectory {
+	return runEngine(p, d.NewEngine())
+}
+
+// NewEngine implements Online.
+func (d DeadReckoning) NewEngine() Engine {
 	validateDistance("DeadReckoning", d.Threshold)
-	if out, ok := small(p); ok {
-		return out
-	}
-	out := trajectory.Trajectory{p[0]}
-	anchor := 0
-	// Velocity derived from the segment leaving the anchor.
-	vx := (p[1].X - p[0].X) / (p[1].T - p[0].T)
-	vy := (p[1].Y - p[0].Y) / (p[1].T - p[0].T)
-	for i := 2; i < p.Len()-1; i++ {
-		dt := p[i].T - p[anchor].T
-		pred := geo.Pt(p[anchor].X+vx*dt, p[anchor].Y+vy*dt)
-		if p[i].Pos().Dist(pred) > d.Threshold {
-			out = append(out, p[i])
-			anchor = i
-			vx = (p[i+1].X - p[i].X) / (p[i+1].T - p[i].T)
-			vy = (p[i+1].Y - p[i].Y) / (p[i+1].T - p[i].T)
-		}
-	}
-	return append(out, p[p.Len()-1])
+	return &drEngine{threshold: d.Threshold}
 }

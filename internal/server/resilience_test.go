@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -530,5 +532,68 @@ func TestClusterWriteNotRetriedAfterSend(t *testing.T) {
 	snap, _ := healthy.store.Snapshot("bus")
 	if len(snap) != 0 {
 		t.Errorf("healthy member received %d samples — ambiguous write was re-sent", len(snap))
+	}
+}
+
+// A reply larger than the connection's write buffer spills to the socket
+// before the handler's flush. On a connection that sat idle for longer than
+// WriteTimeout that spill used to run under the previous flush's expired
+// deadline and cut the reply off; the deadline must be armed where the
+// bytes leave.
+func TestLargeReplyAfterIdleLongerThanWriteTimeout(t *testing.T) {
+	const objects = 400 // ≈ 9 KiB of STATS, over the 4 KiB buffer
+	st := store.New(store.Options{Metrics: metrics.NewRegistry()})
+	for i := 0; i < objects; i++ {
+		if err := st.Append("vehicle-"+strconv.Itoa(i), trajectory.S(1, float64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st)
+	srv.WriteTimeout = 50 * time.Millisecond
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	// The first reply arms (and, at the parent commit, leaves behind) a
+	// write deadline 50 ms out.
+	if _, err := conn.Write([]byte("PING\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := br.ReadString('\n'); err != nil || line != "OK pong\n" {
+		t.Fatalf("PING: %q, %v", line, err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if _, err := conn.Write([]byte("STATS\n")); err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("STATS reply cut off after %d of %d object lines: %v", got, objects, err)
+		}
+		if line == "END\n" {
+			break
+		}
+		if strings.HasPrefix(line, "obj ") {
+			got++
+		}
+	}
+	if got != objects {
+		t.Errorf("STATS listed %d objects, want %d", got, objects)
 	}
 }

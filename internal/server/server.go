@@ -72,10 +72,12 @@
 //	                                          connection; the feed is
 //	                                          best-effort (slow subscribers
 //	                                          never block ingest). The
-//	                                          optional spec is a
-//	                                          stream.ParseFactory algorithm
-//	                                          (e.g. operb:30, ciseds:30,
-//	                                          opwtr:30) applied per object on
+//	                                          optional spec names any
+//	                                          online-capable algorithm of
+//	                                          compress.Parse (compress.Help
+//	                                          prints the grammar; e.g.
+//	                                          operb:30, ciseds:30,
+//	                                          opwtr:30:64) applied per object on
 //	                                          this subscriber's feed: only
 //	                                          retained points are delivered,
 //	                                          trading latency/completeness
@@ -414,7 +416,8 @@ func (s *Server) handle(conn net.Conn) {
 	s.ins.connsActive.Inc()
 	defer s.ins.connsActive.Dec()
 	br := bufio.NewReaderSize(conn, 4096)
-	w := bufio.NewWriter(conn)
+	dw := &deadlineWriter{conn: conn, timeout: s.WriteTimeout}
+	w := bufio.NewWriter(dw)
 	for {
 		s.mu.Lock()
 		draining := s.closed
@@ -441,7 +444,9 @@ func (s *Server) handle(conn net.Conn) {
 		if rr != nil {
 			// The connection leaves the command protocol and becomes a
 			// replication stream until it breaks; ServeFollower flushes any
-			// responses still buffered from a pipelined batch first.
+			// responses still buffered from a pipelined batch first, and
+			// arms its own per-frame write deadlines from here on.
+			dw.timeout = 0
 			_ = s.Repl.ServeFollower(conn, br, w, rr.offset, rr.seq)
 			return
 		}
@@ -450,7 +455,7 @@ func (s *Server) handle(conn net.Conn) {
 		if br.Buffered() > 0 && !quit && sub == nil {
 			continue
 		}
-		if s.flush(conn, w) != nil || quit {
+		if w.Flush() != nil || quit {
 			return
 		}
 		if sub != nil {
@@ -460,14 +465,24 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// flush writes out the buffered response under the configured WriteTimeout.
-func (s *Server) flush(conn net.Conn, w *bufio.Writer) error {
-	if s.WriteTimeout > 0 {
-		if err := conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)); err != nil {
-			return err
+// deadlineWriter sits under a connection's bufio.Writer and arms the write
+// deadline where the bytes actually leave. Arming it only at Flush would
+// let a reply larger than the buffer spill to the socket mid-command under
+// the deadline left by the previous flush — long expired on a connection
+// that sat idle. A flushed batch that fits the buffer is one Write, so the
+// APPEND/MAPPEND path still pays one SetWriteDeadline per flush.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration // 0 = no deadline
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	if d.timeout > 0 {
+		if err := d.conn.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
+			return 0, err
 		}
 	}
-	return w.Flush()
+	return d.conn.Write(p)
 }
 
 // stream pumps a subscriber's feed to the connection until the feed closes
@@ -516,7 +531,7 @@ func (s *Server) stream(conn net.Conn, w *bufio.Writer, sub *bus.Subscriber) {
 			}
 		}
 		if len(lines) > 0 {
-			if err := s.flush(conn, w); err != nil {
+			if err := w.Flush(); err != nil {
 				return
 			}
 		}
@@ -644,7 +659,7 @@ const subscribeUsage = "ERR usage: SUBSCRIBE <id|*> [spec] [policy] | SUBSCRIBE 
 // cmdSubscribe parses both SUBSCRIBE forms and registers the feed on the
 // fan-out bus (nil return: an error was written). The tail arguments — at
 // most one compression spec and one slow-consumer policy — may appear in
-// either order: policy names never collide with ParseFactory's spec
+// either order: policy names never collide with compress.Parse's spec
 // grammar.
 func (s *Server) cmdSubscribe(w *bufio.Writer, args []string) *bus.Subscriber {
 	if len(args) < 1 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compress"
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -433,7 +434,7 @@ func TestServerIdleTimeout(t *testing.T) {
 func TestServerDurableBackend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "server.wal")
 	opts := store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(40, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 40}) },
 	}
 
 	session := func(appendData bool) int {
@@ -486,7 +487,7 @@ func TestServerDurableBackend(t *testing.T) {
 
 func TestServerWithCompressionAndConcurrency(t *testing.T) {
 	st := store.New(store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(30, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 30}) },
 	})
 	addr, shutdown := startServer(t, st)
 	defer shutdown()
@@ -532,7 +533,7 @@ func TestServerWithCompressionAndConcurrency(t *testing.T) {
 func TestServerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	st := store.New(store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(25, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 25}) },
 		Metrics:       reg,
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -72,11 +72,12 @@ type RangePoint struct {
 // RangePoints returns every stored point inside the rectangle during
 // [t0, t1], ordered by object ID then time — the union of hot retained
 // samples (exact, strictly inside the rectangle) and, when sealing is
-// enabled, cold sealed samples (reconstructed, evaluated against the
-// rectangle expanded by each block's recorded error bound ε, so sealing
-// introduces no false dismissals; reconstructions within ε outside the
-// rectangle may be included). The sample sealed as each chain's boundary
-// overlap is reported once.
+// enabled, cold sealed samples (reconstructed ones are evaluated against
+// the rectangle expanded by their block's recorded error bound ε, so sealing
+// introduces no false dismissals and reconstructions within ε outside the
+// rectangle may be included; each block's exactly stored first and last
+// samples are evaluated against the rectangle as given). The sample sealed
+// as each chain's boundary overlap is reported once.
 func (st *Store) RangePoints(rect geo.Rect, t0, t1 float64) []RangePoint {
 	defer st.ins.querySeconds["points"].ObserveSince(time.Now())
 	if rect.IsEmpty() || t1 < t0 {

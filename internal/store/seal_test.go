@@ -231,6 +231,32 @@ func TestSealOnEvictAcrossShardsAndQueryTolerance(t *testing.T) {
 	}
 }
 
+// The seal boundary sample is stored exactly in both tiers, so a window
+// that misses it — by less than the seal ε — must not return it: only
+// reconstructed samples get the ε-grown rectangle.
+func TestRangePointsExactBoundaryNotGrown(t *testing.T) {
+	st := newSealingStore(t) // SealEps 2
+	p := eastbound(sealEpoch, 0, 100)
+	feed(t, st, "car", p)
+	if _, err := st.SealBefore(sealEpoch + 500); err != nil { // boundary: p[50] at x=500
+		t.Fatal(err)
+	}
+	window := geo.Rect{Min: geo.Pt(445, -5), Max: geo.Pt(499, 5)} // ends 1 m short of p[50]
+	pts := st.RangePoints(window, sealEpoch, sealEpoch+1e4)
+	if len(pts) != 5 {
+		t.Fatalf("RangePoints = %d points, want 5 (samples 45..49)", len(pts))
+	}
+	for _, rp := range pts {
+		if rp.S == p[50] {
+			t.Errorf("exact boundary sample %v returned from a window that misses it", rp.S)
+		}
+	}
+	// The chain's exact first sample p[0] at x=0 gets no grown rectangle either.
+	if pts := st.RangePoints(geo.Rect{Min: geo.Pt(1, -5), Max: geo.Pt(25, 5)}, sealEpoch, sealEpoch+1e4); len(pts) != 2 {
+		t.Errorf("RangePoints near the chain head = %d points, want 2 (samples 1, 2)", len(pts))
+	}
+}
+
 func TestRangePointsHotOnly(t *testing.T) {
 	st := New(Options{Metrics: metrics.NewRegistry()}) // no sealing
 	p := eastbound(sealEpoch, 0, 20)

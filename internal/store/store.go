@@ -402,7 +402,7 @@ func (st *Store) PositionAt(id string, t float64) (geo.Point, bool) {
 // finalized (retained) segments. Inside the compressor's still-buffered
 // window the straight-line tail is not yet validated, so there the radius
 // is a heuristic rather than a guarantee; bounding the window
-// (stream.NewOPWTR's maxWindow) bounds that exposure. The boolean is false
+// (compress.OPWTR's MaxWindow) bounds that exposure. The boolean is false
 // for unknown objects or times outside the recorded span.
 func (st *Store) PositionBoundAt(id string, t float64) (pos geo.Point, radius float64, ok bool) {
 	pos, ok = st.PositionAt(id, t)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/geo"
 	"repro/internal/gpsgen"
 	"repro/internal/metrics"
@@ -63,7 +64,7 @@ func TestAppendValidation(t *testing.T) {
 func TestOnIngestCompression(t *testing.T) {
 	const eps = 50.0
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(eps, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: eps}) },
 	})
 	g := gpsgen.New(2, gpsgen.Config{})
 	p := g.Trip(gpsgen.Urban, 1800)
@@ -97,7 +98,7 @@ func TestOnIngestCompression(t *testing.T) {
 
 func TestSnapshotIncludesLatestPosition(t *testing.T) {
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(1e9, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 1e9}) },
 	})
 	// With a huge threshold, the compressor buffers everything after the
 	// first point — but the snapshot must still expose the newest fix.
@@ -156,7 +157,7 @@ func TestHistory(t *testing.T) {
 func TestPositionBoundAt(t *testing.T) {
 	const eps = 40.0
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(eps, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: eps}) },
 		ErrorBound:    eps,
 	})
 	g := gpsgen.New(7, gpsgen.Config{})
@@ -217,7 +218,7 @@ func TestQuery(t *testing.T) {
 
 func TestQuerySeesBufferedTail(t *testing.T) {
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(1e9, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 1e9}) },
 	})
 	// Everything after the first fix is buffered inside the compressor.
 	feed(t, st, "car", trajectory.MustNew([]trajectory.Sample{
@@ -281,7 +282,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestConcurrentAppendAndQuery(t *testing.T) {
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(30, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 30}) },
 	})
 	g := gpsgen.New(4, gpsgen.Config{})
 	trips := make([]trajectory.Trajectory, 8)
@@ -325,7 +326,7 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 func TestStoreMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	st := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(25, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 25}) },
 		Metrics:       reg,
 	})
 	for i := 0; i < 50; i++ {

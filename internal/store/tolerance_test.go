@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/geo"
 	"repro/internal/gpsgen"
 	"repro/internal/stream"
@@ -18,7 +19,7 @@ import (
 func TestQueryWithToleranceNoFalseNegatives(t *testing.T) {
 	const eps = 60.0
 	compressed := New(Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(eps, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: eps}) },
 		CellSize:      400,
 	})
 	truth := New(Options{CellSize: 400}) // raw reference store

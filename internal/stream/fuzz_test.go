@@ -50,7 +50,7 @@ func FuzzOPWSPStreamMatchesBatch(f *testing.F) {
 		p := fuzzTrack(seed, int(n))
 
 		// Unbounded: online == batch, exactly.
-		got, err := Collect(NewOPWSP(dist, speed, 0), p)
+		got, err := Collect(New(compress.OPWSP{DistThreshold: dist, SpeedThreshold: speed}), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func FuzzOPWSPStreamMatchesBatch(f *testing.F) {
 
 		// Bounded: clamp the fuzzed cap into the legal range [3, 64].
 		maxWindow := 3 + int(win)%62
-		bounded, err := Collect(NewOPWSP(dist, speed, maxWindow), p)
+		bounded, err := Collect(New(compress.OPWSP{DistThreshold: dist, SpeedThreshold: speed, MaxWindow: maxWindow}), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func FuzzOPERBStreamMatchesBatch(f *testing.F) {
 			return
 		}
 		p := fuzzTrack(seed, int(n))
-		got, err := Collect(NewOPERB(eps), p)
+		got, err := Collect(New(compress.OPERB{Threshold: eps}), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,21 +151,13 @@ func FuzzCISEDStreamMatchesBatch(f *testing.F) {
 			return
 		}
 		p := fuzzTrack(seed, int(n))
-		fresh := func() Compressor {
-			if weak {
-				return NewCISEDW(eps)
-			}
-			return NewCISEDS(eps)
-		}
-		got, err := Collect(fresh(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var batch compress.Algorithm
+		var batch compress.Online = compress.CISEDS{Threshold: eps}
 		if weak {
 			batch = compress.CISEDW{Threshold: eps}
-		} else {
-			batch = compress.CISEDS{Threshold: eps}
+		}
+		got, err := Collect(New(batch), p)
+		if err != nil {
+			t.Fatal(err)
 		}
 		want := batch.Compress(p)
 		if !sameTrajectory(got, want) {

@@ -40,8 +40,8 @@ func NewInstruments(r *metrics.Registry) *Instruments {
 	}
 }
 
-// bufferLener is implemented by compressors that expose their window
-// occupancy (the opening-window engine and the dead reckoner do).
+// bufferLener is implemented by compressors that expose their buffer
+// occupancy (every compressor built by New does).
 type bufferLener interface {
 	BufferLen() int
 }
@@ -92,16 +92,4 @@ func (w *instrumented) sync() {
 	if in := w.ins.in.Value(); in > 0 {
 		w.ins.ratio.Set(100 * (1 - float64(w.ins.out.Value())/float64(in)))
 	}
-}
-
-// BufferLen reports the opening-window engine's current window occupancy.
-func (o *opw) BufferLen() int { return len(o.window) }
-
-// BufferLen reports how many samples the dead reckoner holds whose fate is
-// undecided (at most the one trailing sample behind the anchor).
-func (d *deadReckoner) BufferLen() int {
-	if d.n > 1 {
-		return 1
-	}
-	return 0
 }

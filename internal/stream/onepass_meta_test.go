@@ -13,27 +13,27 @@ import (
 // Metamorphic cross-algorithm suite for the one-pass family (OPERB,
 // CISED-S, CISED-W), run over seeded gpsgen fleets:
 //
-//	(a) the online stream output equals the batch output on identical
-//	    input — including at epoch-scale timestamps (t0 ≈ 1.7e9), where
-//	    naive accumulation schemes lose precision;
-//	(b) the ε error bound is never exceeded, under each algorithm's own
-//	    metric (perpendicular distance for OPERB, SED for CISED);
-//	(c) the compression rate is monotone: raising ε never retains more
+//	(a) the ε error bound is never exceeded, under each algorithm's own
+//	    metric (perpendicular distance for OPERB, SED for CISED) —
+//	    including at epoch-scale timestamps (t0 ≈ 1.7e9), where naive
+//	    accumulation schemes lose precision;
+//	(b) the compression rate is monotone: raising ε never retains more
 //	    points.
+//
+// Stream-equals-batch for these and every other online algorithm is
+// TestOnlineMatchesBatch.
 
-// onePassCase pairs the batch algorithm with its stream constructor.
 type onePassCase struct {
 	name   string
-	batch  func(eps float64) compress.Algorithm
 	stream func(eps float64) Compressor
 	sedErr bool // error metric: SED (CISED) vs perpendicular (OPERB)
 }
 
 func onePassCases() []onePassCase {
 	return []onePassCase{
-		{"OPERB", func(e float64) compress.Algorithm { return compress.OPERB{Threshold: e} }, NewOPERB, false},
-		{"CISED-S", func(e float64) compress.Algorithm { return compress.CISEDS{Threshold: e} }, NewCISEDS, true},
-		{"CISED-W", func(e float64) compress.Algorithm { return compress.CISEDW{Threshold: e} }, NewCISEDW, true},
+		{"OPERB", func(e float64) Compressor { return New(compress.OPERB{Threshold: e}) }, false},
+		{"CISED-S", func(e float64) Compressor { return New(compress.CISEDS{Threshold: e}) }, true},
+		{"CISED-W", func(e float64) Compressor { return New(compress.CISEDW{Threshold: e}) }, true},
 	}
 }
 
@@ -70,24 +70,6 @@ func checkBound(t *testing.T, c onePassCase, p, a trajectory.Trajectory, tol flo
 		}
 		if d > tol {
 			t.Fatalf("%s: sample t=%v is %v from the simplification, bound %v", c.name, s.T, d, tol)
-		}
-	}
-}
-
-func TestOnePassStreamMatchesBatch(t *testing.T) {
-	for _, c := range onePassCases() {
-		for ti, p := range fleetTracks() {
-			for _, eps := range []float64{5, 30, 120} {
-				got, err := Collect(c.stream(eps), p)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				want := c.batch(eps).Compress(p)
-				if !sameTrajectory(got, want) {
-					t.Fatalf("%s: track %d ε=%v: stream %d points, batch %d points",
-						c.name, ti, eps, got.Len(), want.Len())
-				}
-			}
 		}
 	}
 }
@@ -168,38 +150,6 @@ func TestOnePassStreamContract(t *testing.T) {
 			}
 		}
 		comp.Flush()
-	}
-}
-
-// ParseFactory must expose the one-pass algorithms to the server flag and
-// the wire protocol, and reject malformed specs.
-func TestOnePassParseFactory(t *testing.T) {
-	p := fuzzTrack(3, 80)
-	for spec, fresh := range map[string]func() Compressor{
-		"operb:40":  func() Compressor { return NewOPERB(40) },
-		"ciseds:40": func() Compressor { return NewCISEDS(40) },
-		"cisedw:40": func() Compressor { return NewCISEDW(40) },
-	} {
-		factory, err := ParseFactory(spec)
-		if err != nil {
-			t.Fatalf("ParseFactory(%q): %v", spec, err)
-		}
-		got, err := Collect(factory(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Collect(fresh(), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameTrajectory(got, want) {
-			t.Fatalf("spec %q built a different compressor", spec)
-		}
-	}
-	for _, bad := range []string{"operb", "operb:-1", "operb:30:5", "ciseds:30:4", "cisedw:x"} {
-		if _, err := ParseFactory(bad); err == nil {
-			t.Fatalf("ParseFactory(%q) unexpectedly succeeded", bad)
-		}
 	}
 }
 

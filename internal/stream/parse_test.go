@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseFactoryValid(t *testing.T) {
-	cases := []string{"nopw:30", "opwtr:30", "opwtr:30:16", "opwsp:30:5", "opwsp:30:5:16", "dr:40"}
+	cases := onlineSpecs(t)
 	p := trajectory.Trajectory{
 		trajectory.S(0, 0, 0), trajectory.S(10, 100, 0), trajectory.S(20, 150, 80),
 	}
@@ -53,6 +53,8 @@ func TestParseFactoryInvalid(t *testing.T) {
 		"opwsp:30:0",  // zero speed
 		"dr:30:5",     // too many args
 		"none:1",      // none takes no args
+		"tdtr:30",     // valid spec, but batch-only
+		"operb:30:5", "cisedw:x",
 	}
 	for _, spec := range cases {
 		if _, err := ParseFactory(spec); err == nil {

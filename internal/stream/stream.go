@@ -1,21 +1,23 @@
-// Package stream provides online (push-based) counterparts of the
-// opening-window compression algorithms, for compressing position streams in
-// real time with bounded memory — the paper's motivation for studying
-// opening-window algorithms at all ("they are online algorithms", §2.2).
+// Package stream runs the incremental algorithms of internal/compress over
+// position streams in real time with bounded memory — the paper's motivation
+// for studying opening-window algorithms at all ("they are online
+// algorithms", §2.2).
 //
 // An online compressor receives samples one at a time and emits retained
-// samples as soon as their fate is decided. For the opening-window
-// algorithms the emitted stream is identical to the batch result of
-// internal/compress on the same input (verified by tests), except that an
-// optional window cap can force earlier cuts to bound memory.
+// samples as soon as their fate is decided. It is a compress.Engine behind
+// a timestamp-order check, and the batch Compress of the same algorithm is
+// that engine run over a slice, so the emitted stream equals the batch
+// result by construction. The package itself holds no algorithm: which
+// ones exist, what their spec strings mean and what they do per point is
+// internal/compress's business.
 package stream
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 
-	"repro/internal/geo"
-	"repro/internal/sed"
+	"repro/internal/compress"
 	"repro/internal/trajectory"
 )
 
@@ -28,218 +30,65 @@ type Compressor interface {
 	Push(s trajectory.Sample) ([]trajectory.Sample, error)
 	// Flush terminates the stream, returning the remaining retained samples
 	// (at least the final input sample, if any input was seen after the
-	// last emission). The compressor is reusable for a new stream after
-	// Flush.
+	// last emission). The returned slice is only valid until the next call.
+	// The compressor is reusable for a new stream after Flush.
 	Flush() []trajectory.Sample
 }
 
 // ErrOutOfOrder is returned by Push for non-increasing timestamps.
 var ErrOutOfOrder = errors.New("stream: sample timestamps must strictly increase")
 
-// violation reports whether window[i] violates the halting condition for the
-// candidate segment window[0] – window[len-1].
-type violation func(window []trajectory.Sample, i int) bool
-
-// opw is the shared online opening-window engine. The buffered window holds
-// the current anchor at index 0 and the float at the end; fe is the largest
-// float index already validated against all its intermediates, so each Push
-// costs one O(window) scan and the total work matches the batch algorithm.
-type opw struct {
-	window    []trajectory.Sample
-	fe        int // floats ≤ fe are validated; new scans start at fe+1
-	violates  violation
-	maxWindow int // 0 = unbounded
-	emitted   bool
-	out       []trajectory.Sample
+// online adapts a compress.Engine to Compressor, adding the one thing input
+// from outside the program needs: rejection of non-increasing timestamps.
+type online struct {
+	engine compress.Engine
+	seen   bool
+	prevT  float64
 }
 
-func (o *opw) Push(s trajectory.Sample) ([]trajectory.Sample, error) {
-	if n := len(o.window); n > 0 && s.T <= o.window[n-1].T {
-		return nil, fmt.Errorf("%w: t=%v after t=%v", ErrOutOfOrder, s.T, o.window[n-1].T)
-	}
-	o.out = o.out[:0]
-	if len(o.window) == 0 {
-		// The very first sample of a stream is always retained.
-		o.window = append(o.window, s)
-		o.fe = 1
-		o.out = append(o.out, s)
-		o.emitted = true
-		return o.out, nil
-	}
-	o.window = append(o.window, s)
-	o.settle()
-	return o.out, nil
+// New returns a fresh online compressor running alg's engine. It panics on
+// invalid algorithm parameters, as alg.Compress would.
+func New(alg compress.Online) Compressor {
+	return &online{engine: alg.NewEngine()}
 }
 
-// settle advances the float over any unvalidated window suffix, emitting cut
-// points. It mirrors the batch loop of internal/compress exactly: the float
-// grows from anchor+2; on the first violating intermediate point the window
-// is cut there and the scan restarts inside the shrunk window.
-func (o *opw) settle() {
-	e := o.fe + 1
-	for e < len(o.window) {
-		cut := -1
-		for i := 1; i < e; i++ {
-			if o.violates(o.window[:e+1], i) {
-				cut = i
-				break
-			}
-		}
-		if cut < 0 {
-			o.fe = e
-			e++
-			continue
-		}
-		o.emit(cut)
-		e = 2
+func (o *online) Push(s trajectory.Sample) ([]trajectory.Sample, error) {
+	if o.seen && s.T <= o.prevT {
+		return nil, fmt.Errorf("%w: t=%v after t=%v", ErrOutOfOrder, s.T, o.prevT)
 	}
-	if o.maxWindow > 0 && len(o.window) > o.maxWindow {
-		// Forced cut to bound memory: retain the sample before the float,
-		// the most recent point whose segment has been validated.
-		o.emit(len(o.window) - 2)
-	}
+	o.seen = true
+	o.prevT = s.T
+	return o.engine.Push(s), nil
 }
 
-// emit retains window[cut] and re-anchors the window there.
-func (o *opw) emit(cut int) {
-	o.out = append(o.out, o.window[cut])
-	o.window = append(o.window[:0], o.window[cut:]...)
-	o.fe = 1
+func (o *online) Flush() []trajectory.Sample {
+	o.seen = false
+	return o.engine.Flush()
 }
 
-func (o *opw) Flush() []trajectory.Sample {
-	var out []trajectory.Sample
-	if len(o.window) > 1 {
-		out = append(out, o.window[len(o.window)-1])
-	} else if len(o.window) == 1 && !o.emitted {
-		out = append(out, o.window[0])
-	}
-	o.window = o.window[:0]
-	o.fe = 0
-	o.emitted = false
-	return out
-}
+// BufferLen reports how many samples the engine buffers: the window of the
+// opening-window family, at most one for dead reckoning and the one-pass
+// algorithms.
+func (o *online) BufferLen() int { return o.engine.Pending() }
 
-// NewOPWTR returns an online OPW-TR compressor (synchronized-distance
-// halting condition). maxWindow caps the buffered window size; 0 means
-// unbounded, matching the batch algorithm exactly.
-func NewOPWTR(threshold float64, maxWindow int) Compressor {
-	if threshold < 0 {
-		panic(fmt.Sprintf("stream: negative threshold %v", threshold))
+// ParseFactory builds a compressor factory from a compress.Parse spec (see
+// compress.Help for the grammar), as used by the tracking server. Only
+// algorithms that can run incrementally are accepted. The returned factory
+// yields a fresh compressor per call; it is nil for "none" (no compression).
+func ParseFactory(spec string) (func() Compressor, error) {
+	if strings.EqualFold(strings.TrimSpace(spec), "none") {
+		return nil, nil
 	}
-	validateWindow(maxWindow)
-	return &opw{
-		maxWindow: maxWindow,
-		violates: func(w []trajectory.Sample, i int) bool {
-			return sed.Distance(w[i], w[0], w[len(w)-1]) > threshold
-		},
+	alg, err := compress.Parse(spec)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// NewOPWSP returns an online OPW-SP compressor (the paper's SPT pseudocode):
-// synchronized distance plus the speed-difference criterion. maxWindow caps
-// the buffered window size; 0 means unbounded.
-func NewOPWSP(distThreshold, speedThreshold float64, maxWindow int) Compressor {
-	if distThreshold < 0 || speedThreshold <= 0 {
-		panic(fmt.Sprintf("stream: invalid thresholds (%v, %v)", distThreshold, speedThreshold))
+	on, ok := alg.(compress.Online)
+	if !ok {
+		return nil, fmt.Errorf("stream: spec %q: %s cannot run online (want none, %s)",
+			spec, alg.Name(), strings.Join(compress.Names(true), ", "))
 	}
-	validateWindow(maxWindow)
-	return &opw{
-		maxWindow: maxWindow,
-		violates: func(w []trajectory.Sample, i int) bool {
-			if sed.Distance(w[i], w[0], w[len(w)-1]) > distThreshold {
-				return true
-			}
-			vPrev := w[i].Pos().Dist(w[i-1].Pos()) / (w[i].T - w[i-1].T)
-			vNext := w[i+1].Pos().Dist(w[i].Pos()) / (w[i+1].T - w[i].T)
-			dv := vNext - vPrev
-			if dv < 0 {
-				dv = -dv
-			}
-			return dv > speedThreshold
-		},
-	}
-}
-
-// NewNOPW returns an online NOPW compressor (perpendicular distance).
-// maxWindow caps the buffered window size; 0 means unbounded.
-func NewNOPW(threshold float64, maxWindow int) Compressor {
-	if threshold < 0 {
-		panic(fmt.Sprintf("stream: negative threshold %v", threshold))
-	}
-	validateWindow(maxWindow)
-	return &opw{
-		maxWindow: maxWindow,
-		violates: func(w []trajectory.Sample, i int) bool {
-			seg := geo.Seg(w[0].Pos(), w[len(w)-1].Pos())
-			return seg.PerpDist(w[i].Pos()) > threshold
-		},
-	}
-}
-
-// NewDeadReckoning returns an online dead-reckoning compressor: points whose
-// position is predicted within threshold by extrapolating the velocity at
-// the last retained point are dropped.
-func NewDeadReckoning(threshold float64) Compressor {
-	if threshold < 0 {
-		panic(fmt.Sprintf("stream: negative threshold %v", threshold))
-	}
-	return &deadReckoner{threshold: threshold}
-}
-
-type deadReckoner struct {
-	threshold float64
-	anchor    trajectory.Sample
-	prev      trajectory.Sample
-	vx, vy    float64
-	n         int // samples seen since last reset
-	out       []trajectory.Sample
-}
-
-func (d *deadReckoner) Push(s trajectory.Sample) ([]trajectory.Sample, error) {
-	if d.n > 0 && s.T <= d.prev.T {
-		return nil, fmt.Errorf("%w: t=%v after t=%v", ErrOutOfOrder, s.T, d.prev.T)
-	}
-	d.out = d.out[:0]
-	switch d.n {
-	case 0:
-		d.anchor = s
-		d.out = append(d.out, s)
-	case 1:
-		dt := s.T - d.anchor.T
-		d.vx = (s.X - d.anchor.X) / dt
-		d.vy = (s.Y - d.anchor.Y) / dt
-	default:
-		dt := s.T - d.anchor.T
-		predX := d.anchor.X + d.vx*dt
-		predY := d.anchor.Y + d.vy*dt
-		dx, dy := s.X-predX, s.Y-predY
-		if dx*dx+dy*dy > d.threshold*d.threshold {
-			d.out = append(d.out, s)
-			d.anchor = s
-			d.n = 0 // velocity re-derives from the next sample
-		}
-	}
-	d.prev = s
-	d.n++
-	return d.out, nil
-}
-
-func (d *deadReckoner) Flush() []trajectory.Sample {
-	var out []trajectory.Sample
-	if d.n > 1 && d.prev != d.anchor {
-		out = append(out, d.prev)
-	}
-	d.n = 0
-	return out
-}
-
-// validateWindow rejects window caps too small for the opening-window
-// engine to make progress (anchor + one intermediate + float).
-func validateWindow(maxWindow int) {
-	if maxWindow != 0 && maxWindow < 3 {
-		panic(fmt.Sprintf("stream: maxWindow %d must be 0 (unbounded) or ≥ 3", maxWindow))
-	}
+	return func() Compressor { return New(on) }, nil
 }
 
 // Collect runs a compressor over a whole trajectory and gathers the emitted

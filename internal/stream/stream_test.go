@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -31,63 +32,66 @@ func sameTrajectory(a, b trajectory.Trajectory) bool {
 	return true
 }
 
-// The online OPW-TR stream must equal the batch algorithm's output exactly.
-func TestOnlineOPWTRMatchesBatch(t *testing.T) {
-	for _, p := range testTrips() {
-		for _, eps := range []float64{20, 50, 100} {
-			got, err := Collect(NewOPWTR(eps, 0), p)
+// onlineSpecs instantiates every grammar line of compress.Help(true):
+// "opwsp:D:V[:W]" becomes "opwsp:30:5" and, because a window cap is offered,
+// "opwsp:30:5:8" — so a new table row is covered without touching the tests.
+func onlineSpecs(t *testing.T) []string {
+	t.Helper()
+	values := map[string]string{"D": "30", "V": "5"}
+	var specs []string
+	for _, line := range strings.Split(strings.TrimSpace(compress.Help(true)), "\n") {
+		grammar, capped := strings.CutSuffix(strings.Fields(line)[0], "[:W]")
+		parts := strings.Split(grammar, ":")
+		for i, letter := range parts[1:] {
+			v, ok := values[letter]
+			if !ok {
+				t.Fatalf("help line %q: no test value for argument %q", line, letter)
+			}
+			parts[i+1] = v
+		}
+		spec := strings.Join(parts, ":")
+		specs = append(specs, spec)
+		if capped {
+			specs = append(specs, spec+":8")
+		}
+	}
+	return specs
+}
+
+// For every online-capable row of the algorithm table the emitted stream
+// equals alg.Compress sample for sample, on seeded fleets at native and at
+// epoch-scale timestamps. Both run the one engine of internal/compress, so
+// this pins the wrapper and the "Compress = engine over the slice"
+// definition, capped windows included. The dr:0 and dr:1e-9 rows are the
+// regression for the former batch loop, which re-tested the sample that
+// defines the new velocity and so kept rounding noise as "deviation".
+func TestOnlineMatchesBatch(t *testing.T) {
+	specs := append(onlineSpecs(t), "opwtr:100", "opwsp:30:15:8", "dr:0", "dr:1e-9")
+	tracks := append(testTrips(), fleetTracks()...)
+	for _, spec := range specs {
+		alg, err := compress.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factory, err := ParseFactory(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti, p := range tracks {
+			got, err := Collect(factory(), p)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", spec, err)
 			}
-			want := compress.OPWTR{Threshold: eps}.Compress(p)
+			want := alg.Compress(p)
 			if !sameTrajectory(got, want) {
-				t.Fatalf("OPW-TR eps=%v: online %d points, batch %d points", eps, got.Len(), want.Len())
+				t.Fatalf("%s: track %d: online %d points, batch %d points", spec, ti, got.Len(), want.Len())
 			}
-		}
-	}
-}
-
-func TestOnlineOPWSPMatchesBatch(t *testing.T) {
-	for _, p := range testTrips() {
-		got, err := Collect(NewOPWSP(50, 5, 0), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.OPWSP{DistThreshold: 50, SpeedThreshold: 5}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("OPW-SP: online %d points, batch %d points", got.Len(), want.Len())
-		}
-	}
-}
-
-func TestOnlineNOPWMatchesBatch(t *testing.T) {
-	for _, p := range testTrips() {
-		got, err := Collect(NewNOPW(50, 0), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.NOPW{Threshold: 50}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("NOPW: online %d points, batch %d points", got.Len(), want.Len())
-		}
-	}
-}
-
-func TestOnlineDeadReckoningMatchesBatch(t *testing.T) {
-	for _, p := range testTrips() {
-		got, err := Collect(NewDeadReckoning(50), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := compress.DeadReckoning{Threshold: 50}.Compress(p)
-		if !sameTrajectory(got, want) {
-			t.Fatalf("DeadReckoning: online %d points, batch %d points", got.Len(), want.Len())
 		}
 	}
 }
 
 func TestOutOfOrderRejected(t *testing.T) {
-	c := NewOPWTR(10, 0)
+	c := New(compress.OPWTR{Threshold: 10})
 	if _, err := c.Push(trajectory.S(5, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 	if _, err := c.Push(trajectory.S(4, 1, 1)); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("decreasing timestamp: got %v", err)
 	}
-	d := NewDeadReckoning(10)
+	d := New(compress.DeadReckoning{Threshold: 10})
 	if _, err := d.Push(trajectory.S(5, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestOutOfOrderRejected(t *testing.T) {
 func TestBoundedWindow(t *testing.T) {
 	p := testTrips()[0]
 	const cap = 8
-	got, err := Collect(NewOPWTR(1e12, cap), p) // huge threshold: only the cap cuts
+	got, err := Collect(New(compress.OPWTR{Threshold: 1e12, MaxWindow: cap}), p) // huge threshold: only the cap cuts
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +136,7 @@ func TestBoundedWindow(t *testing.T) {
 }
 
 func TestCompressorReusableAfterFlush(t *testing.T) {
-	c := NewOPWTR(50, 0)
+	c := New(compress.OPWTR{Threshold: 50})
 	p := testTrips()[0]
 	first, err := Collect(c, p)
 	if err != nil {
@@ -148,7 +152,7 @@ func TestCompressorReusableAfterFlush(t *testing.T) {
 }
 
 func TestFlushSingleSample(t *testing.T) {
-	c := NewOPWTR(50, 0)
+	c := New(compress.OPWTR{Threshold: 50})
 	emitted, err := c.Push(trajectory.S(0, 1, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +167,11 @@ func TestFlushSingleSample(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewOPWTR(-1, 0) },
-		func() { NewOPWSP(10, 0, 0) },
-		func() { NewNOPW(-1, 0) },
-		func() { NewDeadReckoning(-1) },
-		func() { NewOPWTR(10, 2) }, // window cap too small
+		func() { New(compress.OPWTR{Threshold: -1}) },
+		func() { New(compress.OPWSP{DistThreshold: 10}) },
+		func() { New(compress.NOPW{Threshold: -1}) },
+		func() { New(compress.DeadReckoning{Threshold: -1}) },
+		func() { New(compress.OPWTR{Threshold: 10, MaxWindow: 2}) }, // window cap too small
 	} {
 		func() {
 			defer func() {
@@ -186,7 +190,7 @@ func TestPipeline(t *testing.T) {
 	out := make(chan trajectory.Sample)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- Pipeline(context.Background(), NewOPWTR(50, 0), in, out)
+		errc <- Pipeline(context.Background(), New(compress.OPWTR{Threshold: 50}), in, out)
 	}()
 	go func() {
 		for _, s := range p {
@@ -213,7 +217,7 @@ func TestPipelineCancellation(t *testing.T) {
 	out := make(chan trajectory.Sample)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- Pipeline(ctx, NewOPWTR(50, 0), in, out)
+		errc <- Pipeline(ctx, New(compress.OPWTR{Threshold: 50}), in, out)
 	}()
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
@@ -230,7 +234,7 @@ func TestPipelinePropagatesPushError(t *testing.T) {
 	in <- trajectory.S(5, 0, 0)
 	in <- trajectory.S(4, 0, 0) // out of order
 	close(in)
-	err := Pipeline(context.Background(), NewOPWTR(50, 0), in, out)
+	err := Pipeline(context.Background(), New(compress.OPWTR{Threshold: 50}), in, out)
 	if !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("got %v, want ErrOutOfOrder", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/gpsgen"
 	"repro/internal/metrics"
 	"repro/internal/sed"
@@ -217,7 +218,7 @@ func (errTest) Error() string { return "sentinel" }
 func TestDurableStoreRoundTrip(t *testing.T) {
 	path := logPath(t)
 	opts := store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(40, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 40}) },
 	}
 	d, err := OpenDurable(path, opts)
 	if err != nil {
@@ -266,7 +267,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 func TestDurableStoreAppendAfterReopen(t *testing.T) {
 	path := logPath(t)
 	opts := store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(40, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 40}) },
 	}
 	d, err := OpenDurable(path, opts)
 	if err != nil {
@@ -386,7 +387,7 @@ func TestDurableStoreCompressionShrinksLog(t *testing.T) {
 
 	raw := run(store.Options{})
 	compressed := run(store.Options{
-		NewCompressor: func() stream.Compressor { return stream.NewOPWTR(50, 0) },
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 50}) },
 	})
 	if compressed >= raw/2 {
 		t.Errorf("compressed log %d not well below raw %d", compressed, raw)

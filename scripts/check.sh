@@ -25,6 +25,13 @@
 #                              pair through kill-primary/PROMOTE cycles
 #                              (ack=follower) and kill-follower + lag-shed
 #                              cycles (ack=primary)
+#  10. bench/ harness          bench/ is its own module, so steps 1–6 never
+#                              compile it: run its smoke (every workload at
+#                              tiny sizes against a trajserver built from
+#                              this checkout), vet and unit tests, so a
+#                              signature drift against the frozen benchmark
+#                              fails the PR that causes it, not the next
+#                              benchmark run
 #
 # Failure propagation: bash with -e -u and -o pipefail, so a failure in any
 # pipeline stage — not just the last command — fails the script, and the
@@ -72,5 +79,9 @@ bash scripts/torture.sh --smoke
 
 echo "==> repl torture smoke (two-node kill/promote + shedding cycles)"
 bash scripts/torture.sh --repl-smoke
+
+echo "==> benchmark harness (bench/ module: smoke, vet, tests)"
+bash bench/run.sh -smoke
+(cd bench && export GOFLAGS=-mod=mod && go vet . && go test .)
 
 echo "==> all checks passed"

@@ -265,8 +265,12 @@ func NewCISEDW(threshold float64) Algorithm { return compress.CISEDW{Threshold: 
 func IsWeakAlgorithm(alg Algorithm) bool { return compress.IsWeak(alg) }
 
 // ParseAlgorithm builds an algorithm from a textual spec such as "tdtr:30"
-// or "opwsp:30:5"; see the compress package documentation for the grammar.
+// or "opwsp:30:5"; AlgorithmHelp prints the grammar.
 func ParseAlgorithm(spec string) (Algorithm, error) { return compress.Parse(spec) }
+
+// AlgorithmHelp renders the spec grammar of ParseAlgorithm, one line per
+// algorithm.
+func AlgorithmHelp() string { return compress.Help(false) }
 
 // CompressAll compresses every trajectory with alg on a bounded worker pool
 // (opts.Parallelism workers; 0 = GOMAXPROCS), preserving input order — the
@@ -298,38 +302,42 @@ func Evaluate(name string, p, a Trajectory) (Report, error) { return quality.Eva
 
 // Online compression.
 
-// NewOnlineOPWTR returns an online OPW-TR compressor. maxWindow bounds the
-// buffered window (0 = unbounded, exactly matching the batch algorithm).
+// Each online compressor runs the same engine as the batch algorithm of the
+// same name, so its emitted stream equals that algorithm's Compress output.
+// maxWindow caps the buffered window of the opening-window family (0 =
+// unbounded, otherwise ≥ 3).
+
+// NewOnlineOPWTR returns an online OPW-TR compressor.
 func NewOnlineOPWTR(threshold float64, maxWindow int) Compressor {
-	return stream.NewOPWTR(threshold, maxWindow)
+	return stream.New(compress.OPWTR{Threshold: threshold, MaxWindow: maxWindow})
 }
 
 // NewOnlineOPWSP returns an online OPW-SP compressor.
 func NewOnlineOPWSP(distThreshold, speedThreshold float64, maxWindow int) Compressor {
-	return stream.NewOPWSP(distThreshold, speedThreshold, maxWindow)
+	return stream.New(compress.OPWSP{DistThreshold: distThreshold, SpeedThreshold: speedThreshold, MaxWindow: maxWindow})
 }
 
 // NewOnlineNOPW returns an online NOPW compressor.
 func NewOnlineNOPW(threshold float64, maxWindow int) Compressor {
-	return stream.NewNOPW(threshold, maxWindow)
+	return stream.New(compress.NOPW{Threshold: threshold, MaxWindow: maxWindow})
 }
 
 // NewOnlineDeadReckoning returns an online dead-reckoning compressor.
 func NewOnlineDeadReckoning(threshold float64) Compressor {
-	return stream.NewDeadReckoning(threshold)
+	return stream.New(compress.DeadReckoning{Threshold: threshold})
 }
 
 // NewOnlineOPERB returns the online OPERB compressor: one pass, O(1)
 // memory (no window), every point decided on arrival.
-func NewOnlineOPERB(eps float64) Compressor { return stream.NewOPERB(eps) }
+func NewOnlineOPERB(eps float64) Compressor { return stream.New(compress.OPERB{Threshold: eps}) }
 
 // NewOnlineCISEDS returns the online CISED-S compressor (one-pass strong
 // SED simplification).
-func NewOnlineCISEDS(eps float64) Compressor { return stream.NewCISEDS(eps) }
+func NewOnlineCISEDS(eps float64) Compressor { return stream.New(compress.CISEDS{Threshold: eps}) }
 
 // NewOnlineCISEDW returns the online CISED-W compressor (one-pass weak SED
 // simplification with synthesized window-closing joints).
-func NewOnlineCISEDW(eps float64) Compressor { return stream.NewCISEDW(eps) }
+func NewOnlineCISEDW(eps float64) Compressor { return stream.New(compress.CISEDW{Threshold: eps}) }
 
 // Collect runs an online compressor over a whole trajectory.
 func Collect(c Compressor, p Trajectory) (Trajectory, error) { return stream.Collect(c, p) }
