@@ -180,8 +180,8 @@ func MapMatchFigure() Figure {
 // spatiotemporal opening-window algorithm. The one-pass algorithms decide
 // each point in O(1) without re-scanning a window, so the interesting
 // question is how much error/compression quality that speed costs — the
-// per-point CPU side of the trade is measured by trajload -stream-cpu and
-// recorded in BENCH_load.json.
+// per-point CPU side of the trade is the benchmark's per-layer
+// stream.push_ns_per_point.<spec> (bench/README.md).
 func OnePassFigure() Figure {
 	return Figure{
 		ID:    "Extension E4",

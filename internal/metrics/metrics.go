@@ -10,8 +10,8 @@
 // query latency, fsync cost, backpressure drops. Every hot path
 // (internal/server, internal/store, internal/wal, internal/stream)
 // registers its instruments here; cmd/trajserver exposes the registry over
-// the TCP protocol (METRICS) and optionally HTTP (/metrics), and
-// cmd/trajload turns it into tracked benchmark artifacts.
+// the TCP protocol (METRICS) and optionally HTTP (/metrics), and the
+// benchmark in bench/ reads its counters to check and break down its runs.
 //
 // All instruments are safe for concurrent use and update via sync/atomic
 // only — an Observe/Inc on a hot path is a handful of atomic operations,

@@ -163,8 +163,8 @@ func TestPipelinedCommands(t *testing.T) {
 	}
 }
 
-// A pipelined stream of MAPPEND batches sent in one write — the trajload
-// batch-ingest shape.
+// A pipelined stream of MAPPEND batches sent in one write — the shape of
+// the benchmark's ingest_batch workload.
 func TestPipelinedBatches(t *testing.T) {
 	st := store.New(store.Options{})
 	addr, shutdown := startServer(t, st)

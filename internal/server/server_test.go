@@ -240,6 +240,64 @@ func TestServerProtocolRobustness(t *testing.T) {
 	}
 }
 
+// Coordinates a client chooses must not set the server's work: a fix 2 000 km
+// from the last one and a query rectangle of 400 million grid cells are both
+// answered, and a second connection served, promptly. The bound is generous
+// for a loaded -race runner; without the fix the APPEND takes about 3 s and
+// the QUERY about half a minute, so it still fails there.
+func TestServerHugeCoordinatesAnswerPromptly(t *testing.T) {
+	addr, shutdown := startServer(t, store.New(store.Options{}))
+	defer shutdown()
+	deadline := time.Now().Add(5 * time.Second)
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(deadline); err != nil {
+			t.Fatal(err)
+		}
+		return conn, bufio.NewReader(conn)
+	}
+	conn, r := dial()
+	defer conn.Close()
+	fmt.Fprint(conn, "APPEND a 0 0 0\nAPPEND a 1 2e6 2e6\nQUERY -1e7 -1e7 1e7 1e7 0 10\n")
+	for _, want := range []string{"OK", "OK", "a", "END"} {
+		if got, err := r.ReadString('\n'); err != nil || strings.TrimSpace(got) != want {
+			t.Fatalf("reply %q, %v; want %q", got, err, want)
+		}
+	}
+	other, r2 := dial()
+	defer other.Close()
+	fmt.Fprint(other, "PING\n")
+	if got, err := r2.ReadString('\n'); err != nil || strings.TrimSpace(got) != "OK pong" {
+		t.Fatalf("PING on a second connection: %q, %v", got, err)
+	}
+}
+
+// A NaN time parses as a float and is outside every span: the two commands
+// that interpolate at a client-chosen time answer "nothing there" (indexing
+// past the trajectory's end instead takes the whole process down).
+func TestServerNaNTimeIsOutsideEverySpan(t *testing.T) {
+	addr, shutdown := startServer(t, store.New(store.Options{}))
+	defer shutdown()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	fmt.Fprint(conn, "APPEND a 0 0 0\nAPPEND a 10 5 5\nPOSITION a NaN\nNEAREST 0 0 NaN 1\nPING\n")
+	for _, want := range []string{"OK", "OK", "ERR no position", "END", "OK pong"} {
+		if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, want) {
+			t.Fatalf("reply %q, %v; want %q", got, err, want)
+		}
+	}
+}
+
 func TestServerSubscribe(t *testing.T) {
 	addr, shutdown := startServer(t, store.New(store.Options{}))
 	defer shutdown()

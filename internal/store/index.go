@@ -15,10 +15,15 @@ type spatialIndex interface {
 
 // gridIndex is a uniform spatial grid over trajectory segments. Each entry
 // carries the segment's bounding box and time interval; a segment spanning
-// several cells is inserted into each.
+// several cells is inserted into each. The work of both operations is bounded
+// by what the index holds, never by the coordinates passed in: a segment whose
+// box covers more than maxSegmentCells cells (a GPS glitch, a sparse track) is
+// filed once under oversize, and a query rectangle spanning more cells than
+// are populated walks the populated cells instead.
 type gridIndex struct {
-	cell  float64
-	cells map[cellKey][]entry
+	cell     float64
+	cells    map[cellKey][]entry
+	oversize []entry // scanned by every query
 }
 
 type cellKey struct{ cx, cy int32 }
@@ -29,16 +34,46 @@ type entry struct {
 	t0, t1 float64
 }
 
+const (
+	// maxSegmentCells is a box of about 8 km × 8 km at the default 1 km
+	// cell: more than road vehicles cover between two retained fixes under
+	// the deployed compressors, small enough that one insert stays a few KiB.
+	// It counts cells, not metres, so it shrinks with -cell: at a 100 m cell,
+	// or for sparse or fast tracks (ships, aircraft), most segments are
+	// oversize and every query scans them linearly — correct and bounded by
+	// the data held, but no longer an index (TestSparseFleetOnSmallCellsIsAllOversize).
+	// Such deployments want a larger cell or -index rtree.
+	maxSegmentCells = 64
+	// maxCell clamps cell coordinates well inside int32, so that any float64
+	// (±Inf and NaN included) converts with a defined result and cx++ in a
+	// loop up to it cannot wrap. Positions beyond it share the edge cells;
+	// entries are still tested by their own boxes.
+	maxCell = 1 << 30
+)
+
 func newGridIndex(cell float64) *gridIndex {
 	return &gridIndex{cell: cell, cells: make(map[cellKey][]entry)}
 }
 
 // keyOf maps a position to its cell.
 func (g *gridIndex) keyOf(p geo.Point) cellKey {
-	return cellKey{
-		cx: int32(math.Floor(p.X / g.cell)),
-		cy: int32(math.Floor(p.Y / g.cell)),
+	return cellKey{cx: cellCoord(p.X / g.cell), cy: cellCoord(p.Y / g.cell)}
+}
+
+func cellCoord(v float64) int32 {
+	if !(v > -maxCell) { // also NaN
+		return -maxCell
 	}
+	if v > maxCell {
+		return maxCell
+	}
+	return int32(math.Floor(v))
+}
+
+// cellCount is the number of cells in the key range [lo, hi], as a float64
+// because the full range squared exceeds int64.
+func cellCount(lo, hi cellKey) float64 {
+	return (float64(hi.cx) - float64(lo.cx) + 1) * (float64(hi.cy) - float64(lo.cy) + 1)
 }
 
 // insert registers one segment under every cell its bounding box covers.
@@ -48,6 +83,10 @@ func (g *gridIndex) insert(id string, box geo.Rect, t0, t1 float64) {
 	}
 	e := entry{id: id, box: box, t0: t0, t1: t1}
 	lo, hi := g.keyOf(box.Min), g.keyOf(box.Max)
+	if cellCount(lo, hi) > maxSegmentCells {
+		g.oversize = append(g.oversize, e)
+		return
+	}
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
 			k := cellKey{cx, cy}
@@ -63,17 +102,26 @@ func (g *gridIndex) query(rect geo.Rect, t0, t1 float64) map[string]bool {
 	if rect.IsEmpty() || t1 < t0 {
 		return hits
 	}
+	match := func(es []entry) {
+		for _, e := range es {
+			if !hits[e.id] && e.box.Intersects(rect) && overlaps(e.t0, e.t1, t0, t1) {
+				hits[e.id] = true
+			}
+		}
+	}
+	match(g.oversize)
 	lo, hi := g.keyOf(rect.Min), g.keyOf(rect.Max)
+	if cellCount(lo, hi) > float64(len(g.cells)) {
+		for k, es := range g.cells {
+			if lo.cx <= k.cx && k.cx <= hi.cx && lo.cy <= k.cy && k.cy <= hi.cy {
+				match(es)
+			}
+		}
+		return hits
+	}
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, e := range g.cells[cellKey{cx, cy}] {
-				if hits[e.id] {
-					continue
-				}
-				if e.box.Intersects(rect) && overlaps(e.t0, e.t1, t0, t1) {
-					hits[e.id] = true
-				}
-			}
+			match(g.cells[cellKey{cx, cy}])
 		}
 	}
 	return hits

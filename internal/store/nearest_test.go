@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/geo"
@@ -45,5 +47,57 @@ func TestNearest(t *testing.T) {
 	// Time with nobody live.
 	if got := st.Nearest(geo.Pt(0, 0), 50, 3); len(got) != 0 {
 		t.Errorf("dead time returned %v", got)
+	}
+}
+
+// locAt must answer exactly what snapshot().LocAt answers, for every shape of
+// object: no tail, a tail behind 0, 1 or many retained samples, and t on,
+// between and outside the timestamps.
+func TestLocAtMatchesSnapshot(t *testing.T) {
+	r3 := trajectory.Trajectory{trajectory.S(10, 0, 0), trajectory.S(20, 7, 3), trajectory.S(40, 9, 11)}
+	objs := map[string]*object{
+		"empty":         {},
+		"tail only":     {lastRaw: trajectory.S(10, 1, 2), rawSeen: 1},
+		"one, no tail":  {retained: r3[:1], lastRaw: r3[0], rawSeen: 1},
+		"one + tail":    {retained: r3[:1], lastRaw: trajectory.S(15, 3, 1), rawSeen: 2},
+		"many, no tail": {retained: r3, lastRaw: r3[2], rawSeen: 3},
+		"many + tail":   {retained: r3, lastRaw: trajectory.S(47, 13, 17), rawSeen: 9},
+	}
+	for name, obj := range objs {
+		for at := 5.0; at <= 50; at += 0.5 {
+			want, wantOK := obj.snapshot().LocAt(at)
+			got, ok := obj.locAt(at)
+			// The two must agree bit for bit, not approximately.
+			if ok != wantOK || got != want {
+				t.Errorf("%s: locAt(%v) = %v, %v; snapshot().LocAt = %v, %v", name, at, got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// Nearest and RangePoints visit every object; they must read the retained
+// samples in place. Copying them through snapshot() allocates the whole hot
+// tier per query, and a server answering a few thousand queries a second
+// then runs the collector back to back.
+func TestCrossObjectReadsDoNotCopyTheHotTier(t *testing.T) {
+	st := New(Options{Shards: 4})
+	const objects, points = 64, 512 // 64 × 512 × 24 B = 768 KiB retained
+	for i := 0; i < objects; i++ {
+		feed(t, st, fmt.Sprintf("v%02d", i), eastbound(0, float64(i)*1e4, points))
+	}
+	far := geo.Rect{Min: geo.Pt(-9e6, -9e6), Max: geo.Pt(-8e6, -8e6)}
+	for name, query := range map[string]func(){
+		"RangePoints": func() { st.RangePoints(far, 0, 1e9) },
+		"Nearest":     func() { st.Nearest(geo.Pt(0, 0), 100, 3) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		if perQuery := (after.TotalAlloc - before.TotalAlloc) / 10; perQuery > objects*points*24/8 {
+			t.Errorf("%s allocates %d B per query over a %d B hot tier", name, perQuery, objects*points*24)
+		}
 	}
 }

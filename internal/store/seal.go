@@ -83,14 +83,19 @@ func (st *Store) RangePoints(rect geo.Rect, t0, t1 float64) []RangePoint {
 	if rect.IsEmpty() || t1 < t0 {
 		return nil
 	}
+	inside := func(s trajectory.Sample) bool { return s.T >= t0 && s.T <= t1 && rect.Contains(s.Pos()) }
 	byID := make(map[string][]trajectory.Sample)
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		for id, obj := range sh.objects {
-			for _, s := range obj.snapshot() {
-				if s.T >= t0 && s.T <= t1 && rect.Contains(s.Pos()) {
+			// retained and tail are what snapshot() would copy.
+			for _, s := range obj.retained {
+				if inside(s) {
 					byID[id] = append(byID[id], s)
 				}
+			}
+			if s, ok := obj.tail(); ok && inside(s) {
+				byID[id] = append(byID[id], s)
 			}
 		}
 		sh.mu.RUnlock()

@@ -363,13 +363,38 @@ func (st *Store) Snapshot(id string) (trajectory.Trajectory, bool) {
 // snapshot builds the queryable trajectory of the object; the owning
 // shard's lock must be held.
 func (obj *object) snapshot() trajectory.Trajectory {
-	out := obj.retained.Clone()
-	if obj.rawSeen > 0 {
-		if n := out.Len(); n == 0 || obj.lastRaw.T > out[n-1].T {
-			out = append(out, obj.lastRaw)
-		}
+	out := make(trajectory.Trajectory, 0, obj.retained.Len()+1)
+	out = append(out, obj.retained...)
+	if s, ok := obj.tail(); ok {
+		out = append(out, s)
 	}
 	return out
+}
+
+// tail returns the newest raw observation when it is not (yet) a retained
+// sample: the last sample of snapshot() that obj.retained does not hold.
+func (obj *object) tail() (trajectory.Sample, bool) {
+	if n := obj.retained.Len(); obj.rawSeen > 0 && (n == 0 || obj.lastRaw.T > obj.retained[n-1].T) {
+		return obj.lastRaw, true
+	}
+	return trajectory.Sample{}, false
+}
+
+// locAt is snapshot().LocAt(t) without the copy: Nearest calls it once per
+// object, and cloning the whole hot tier per query makes a busy server run
+// the collector back to back (TestCrossObjectReadsDoNotCopyTheHotTier).
+func (obj *object) locAt(t float64) (geo.Point, bool) {
+	s, ok := obj.tail()
+	n := obj.retained.Len()
+	switch {
+	case !ok:
+		return obj.retained.LocAt(t)
+	case n == 0:
+		return trajectory.Trajectory{s}.LocAt(t)
+	case t > obj.retained[n-1].T:
+		return trajectory.Trajectory{obj.retained[n-1], s}.LocAt(t)
+	}
+	return obj.retained.LocAt(t)
 }
 
 // History returns the portion of an object's stored trajectory within
@@ -616,8 +641,7 @@ func (st *Store) Nearest(q geo.Point, t float64, k int) []Neighbor {
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		for id, obj := range sh.objects {
-			snap := obj.snapshot()
-			pos, ok := snap.LocAt(t)
+			pos, ok := obj.locAt(t)
 			if !ok {
 				continue
 			}

@@ -166,10 +166,10 @@ func (p Trajectory) Segment(i int) geo.Segment {
 
 // SegmentIndexAt returns the index i of the segment containing time t, i.e.
 // p[i].T ≤ t ≤ p[i+1].T, preferring the earliest such segment. The boolean is
-// false if t is outside the trajectory's time span or the trajectory has
-// fewer than 2 samples.
+// false if t is outside the trajectory's time span (NaN is outside every
+// span) or the trajectory has fewer than 2 samples.
 func (p Trajectory) SegmentIndexAt(t float64) (int, bool) {
-	if len(p) < 2 || t < p[0].T || t > p[len(p)-1].T {
+	if len(p) < 2 || !(t >= p[0].T && t <= p[len(p)-1].T) {
 		return 0, false
 	}
 	// First index with p[i].T ≥ t; the earliest containing segment ends there

@@ -101,6 +101,7 @@ func TestLocAt(t *testing.T) {
 		{2.5, geo.Pt(25, 0), true},
 		{-1, geo.Point{}, false},
 		{10.5, geo.Point{}, false},
+		{math.NaN(), geo.Point{}, false}, // arrives over the wire: POSITION a NaN
 	}
 	for _, tc := range tests {
 		got, ok := p.LocAt(tc.t)
@@ -143,7 +144,7 @@ func TestSegmentIndexAt(t *testing.T) {
 	}{
 		{0, 0, true}, {0.5, 0, true}, {1, 0, true},
 		{2, 1, true}, {3, 1, true}, {5, 2, true}, {7, 2, true},
-		{-0.1, 0, false}, {7.1, 0, false},
+		{-0.1, 0, false}, {7.1, 0, false}, {math.NaN(), 0, false},
 	}
 	for _, tc := range tests {
 		got, ok := p.SegmentIndexAt(tc.t)

@@ -13,32 +13,30 @@
 #                              a staleness check over .trajlint.allow
 #   5. go test ./...           tier-1 tests
 #   6. go test -race ./...     tier-2: same tests under the race detector
-#   7. bench.sh --smoke        end-to-end: trajload against a live trajserver
-#                              with a tiny point budget (report to a temp
-#                              file — or $BENCH_SMOKE_OUT when set, so CI can
-#                              upload it; the committed BENCH_load.json comes
-#                              from a full scripts/bench.sh run)
-#   8. torture.sh --smoke      crash-recovery: SIGKILL a WAL-backed
+#   7. torture.sh --smoke      crash-recovery: SIGKILL a WAL-backed
 #                              trajserver mid-load five times and verify no
 #                              acknowledged append is ever lost
-#   9. torture.sh --repl-smoke replication: a primary + streaming follower
+#   8. torture.sh --repl-smoke replication: a primary + streaming follower
 #                              pair through kill-primary/PROMOTE cycles
 #                              (ack=follower) and kill-follower + lag-shed
 #                              cycles (ack=primary)
-#  10. bench/ harness          bench/ is its own module, so steps 1–6 never
-#                              compile it: run its smoke (every workload at
-#                              tiny sizes against a trajserver built from
-#                              this checkout), vet and unit tests, so a
-#                              signature drift against the frozen benchmark
-#                              fails the PR that causes it, not the next
-#                              benchmark run
+#   9. bench/ harness          the only live-server load smoke (the torture
+#                              stages kill theirs): every workload of the
+#                              benchmark at tiny sizes against a trajserver
+#                              built from this checkout, every answer
+#                              verified, a clean SIGTERM drain required.
+#                              bench/ is its own module, so steps 1–6 never
+#                              compile it: its vet and unit tests run here
+#                              too, so a signature drift against the frozen
+#                              benchmark fails the PR that causes it, not the
+#                              next benchmark run
 #
 # Failure propagation: bash with -e -u and -o pipefail, so a failure in any
 # pipeline stage — not just the last command — fails the script, and the
-# smoke scripts themselves verify their background server PIDs (bench.sh
-# checks the server survived the load and drains cleanly; torture.sh
-# supervises every server generation it kills). Nothing here can green-wash
-# a failed stage. Run from anywhere inside the repo.
+# smoke runs themselves supervise their server processes (bench/ requires
+# that the server survives the load and drains cleanly; torture.sh supervises
+# every server generation it kills). Nothing here can green-wash a failed
+# stage. Run from anywhere inside the repo.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -70,9 +68,6 @@ go test ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
-
-echo "==> bench smoke (trajload against live trajserver)"
-bash scripts/bench.sh --smoke "${BENCH_SMOKE_OUT:-}"
 
 echo "==> torture smoke (SIGKILL crash-recovery cycles)"
 bash scripts/torture.sh --smoke
