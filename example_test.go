@@ -2,6 +2,10 @@ package trajcomp_test
 
 import (
 	"fmt"
+	"log"
+	"os"
+	"path/filepath"
+	"reflect"
 
 	trajcomp "repro"
 )
@@ -120,4 +124,43 @@ func ExampleNewStore_metrics() {
 	// stream_buffered_samples 100
 	// stream_points_in_total 100
 	// stream_points_out_total 1
+}
+
+// A durable store logs what its compressor retains to a write-ahead log;
+// Close seals each object's newest position into it, and reopening the log
+// recovers the same queryable trajectories.
+func ExampleOpenDurableStore() {
+	dir, err := os.MkdirTemp("", "trajcomp-example")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "fleet.wal")
+	opts := trajcomp.StoreOptions{
+		NewCompressor: func() trajcomp.Compressor { return trajcomp.NewOnlineOPWTR(30, 0) },
+	}
+
+	st, err := trajcomp.OpenDurableStore(path, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range trajcomp.GenerateTrip(7, trajcomp.Urban, 600) {
+		if err := st.Append("car", s); err != nil {
+			log.Fatal(err)
+		}
+	}
+	before, _ := st.Snapshot("car")
+	if err := st.Close(); err != nil {
+		log.Fatal(err)
+	}
+
+	reopened, err := trajcomp.OpenDurableStore(path, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reopened.Close()
+	after, _ := reopened.Snapshot("car")
+	fmt.Println(before.Len() > 2, reflect.DeepEqual(before, after))
+	// Output:
+	// true true
 }

@@ -10,7 +10,9 @@
 // package machine-enforces them:
 //
 //   - layering:  internal packages may only import the internal packages a
-//     declarative rules table allows (DESIGN.md dependency structure);
+//     declarative rules table allows (DESIGN.md dependency structure), and
+//     the table may hold no row without a package and no edge without a
+//     non-test import;
 //   - floatcmp:  == / != on floating-point operands must be annotated as
 //     intentional degenerate-case guards or rewritten with an epsilon;
 //   - floatstep: loops may not advance a float loop variable by
@@ -68,7 +70,9 @@ func (d Diagnostic) Key() string {
 type Config struct {
 	// LayerRules maps a short internal package key ("geo", "sed", ...) to
 	// the set of short keys it may import. Internal packages absent from
-	// the table are themselves flagged, so new packages must be registered.
+	// the table are themselves flagged, so new packages must be registered;
+	// so are rows without a package and edges no non-test file uses, so the
+	// table cannot outlive the imports it describes.
 	LayerRules map[string][]string
 
 	// NaNGuardPkgs are the short keys of the numeric-core packages subject
@@ -101,34 +105,29 @@ func DefaultConfig() *Config {
 // up into the service layers (store, wal, server).
 func DefaultLayerRules() map[string][]string {
 	return map[string][]string{
-		"geo":        {},
-		"trajectory": {"geo"},
-		"sed":        {"geo", "trajectory"},
-		"roadnet":    {"geo"},
-		"rtree":      {"geo"},
-		"metrics":    {},
-		"fault":      {"metrics"},
-		"interp":     {"geo", "trajectory", "sed"},
-		"compress":   {"geo", "trajectory", "sed"},
-		"quality":    {"geo", "trajectory", "sed", "compress"},
-		"gpsgen":     {"geo", "trajectory", "roadnet"},
-		"codec":      {"geo", "trajectory"},
-		"analysis":   {"geo", "trajectory", "sed"},
-		"cluster":    {"geo", "trajectory", "analysis"},
-		"mapmatch":   {"geo", "trajectory", "roadnet"},
-		"stream":     {"geo", "trajectory", "sed", "compress", "metrics"},
-		"bus":        {"geo", "trajectory", "stream", "metrics"},
-		"seal":       {"geo", "trajectory", "codec", "rtree", "metrics"},
-		"store":      {"geo", "trajectory", "sed", "codec", "rtree", "stream", "metrics", "seal"},
-		"wal":        {"geo", "trajectory", "codec", "store", "stream", "metrics", "fault"},
-		"repl":       {"metrics", "wal", "store", "trajectory", "geo", "codec", "stream"},
-		"server":     {"geo", "trajectory", "store", "stream", "wal", "repl", "metrics", "bus"},
-		"tune":       {"geo", "trajectory", "sed", "compress"},
-		"plot":       {"geo", "trajectory"},
-		"experiments": {"geo", "trajectory", "sed", "compress", "gpsgen",
-			"quality", "mapmatch", "roadnet", "plot"},
-		"lint":   {},
-		"ciyaml": {},
+		"geo":         {},
+		"trajectory":  {"geo"},
+		"sed":         {"geo", "trajectory"},
+		"roadnet":     {"geo"},
+		"rtree":       {"geo"},
+		"metrics":     {},
+		"fault":       {"metrics"},
+		"compress":    {"geo", "trajectory", "sed"},
+		"quality":     {"geo", "trajectory", "sed"},
+		"gpsgen":      {"geo", "trajectory"},
+		"codec":       {"geo", "trajectory"},
+		"mapmatch":    {"trajectory", "roadnet"},
+		"stream":      {"trajectory", "compress", "metrics"},
+		"bus":         {"geo", "trajectory", "stream", "metrics"},
+		"seal":        {"geo", "trajectory", "rtree", "metrics"},
+		"store":       {"geo", "trajectory", "rtree", "stream", "metrics", "seal"},
+		"wal":         {"trajectory", "store", "metrics", "fault"},
+		"repl":        {"metrics", "wal"},
+		"server":      {"geo", "trajectory", "store", "stream", "repl", "metrics", "bus"},
+		"plot":        {"trajectory"},
+		"experiments": {"trajectory", "sed", "compress", "gpsgen", "mapmatch", "roadnet"},
+		"lint":        {},
+		"ciyaml":      {},
 	}
 }
 
@@ -203,6 +202,11 @@ func Run(m *Module, cfg *Config) []Diagnostic {
 				}
 				out = append(out, d)
 			}
+		}
+	}
+	for _, d := range staleLayerRows(m, cfg) {
+		if !cfg.Allowlist[d.Key()] {
+			out = append(out, d)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -16,14 +16,17 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the cu
 
 // fixtureConfig mirrors DefaultConfig for the fixture module under
 // testdata/src: srv is the serving layer, badmath and geo the numeric core.
-// The rules table deliberately omits package rogue and forbids srv→badmath,
-// so both layering branches have a seeded positive.
+// The rules table deliberately omits package rogue, forbids srv→badmath,
+// allows a srv→geo edge that srv does not use and keeps a row for a
+// package ghost that does not exist, so every layering finding kind has a
+// seeded positive.
 func fixtureConfig() *lint.Config {
 	return &lint.Config{
 		LayerRules: map[string][]string{
 			"geo":     {},
-			"badmath": {"geo"},
+			"badmath": {},
 			"srv":     {"geo"},
+			"ghost":   {"geo"},
 			"iox":     {},
 			"locks":   {},
 			"order":   {},

@@ -12,53 +12,10 @@ import (
 // final sampling instant off the interval end or drop it entirely.
 const epoch = 1.7e9
 
-// TestErrorProfileEpochTimestamps is the regression test for the
-// float-accumulation time-stepping bug: with t0 = 1.7e9 and dt = 0.7 the
-// old `for t := t0; t <= t1; t += dt` loop overshoots t1 after 10 steps
-// (accumulated t ≈ t1 + 4.3e-7) and silently drops the final instant,
-// yielding 10 profile points instead of 11. Index stepping lands on t1
-// exactly because float64(10)*0.7 + 1.7e9 == 1.7e9 + 7.
-func TestErrorProfileEpochTimestamps(t *testing.T) {
-	p := trajectory.MustNew([]trajectory.Sample{
-		{T: epoch, X: 0, Y: 0},
-		{T: epoch + 7, X: 70, Y: 0},
-	})
-	a := trajectory.MustNew([]trajectory.Sample{
-		{T: epoch, X: 0, Y: 7},
-		{T: epoch + 7, X: 70, Y: 7},
-	})
-	prof, err := ErrorProfile(p, a, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) != 11 {
-		t.Fatalf("profile has %d points, want 11 (final instant dropped by accumulated rounding?)", len(prof))
-	}
-	for i, e := range prof {
-		if want := epoch + float64(i)*0.7; e.T != want {
-			t.Errorf("profile[%d].T = %.9f, want exactly %.9f (off-grid by %g)", i, e.T, want, e.T-want)
-		}
-	}
-	if last := prof[len(prof)-1].T; last != epoch+7 {
-		t.Errorf("final profile instant %.9f, want the interval end %v exactly", last, epoch+7)
-	}
-
-	// dt = 0.1 under-shoots instead: the old loop's final instant lands at
-	// ≈ t1 − 3.8e-6 rather than t1. Same count, wrong grid.
-	prof, err = ErrorProfile(p, a, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) != 71 {
-		t.Fatalf("dt=0.1 profile has %d points, want 71", len(prof))
-	}
-	if last := prof[len(prof)-1].T; last != epoch+7 {
-		t.Errorf("dt=0.1 final instant %.9f ≠ interval end (shifted by %g)", last, last-(epoch+7))
-	}
-}
-
-// PerpAreaError shares the sweep loop; at epoch scale the dropped final
-// instant changes the sample count the mean divides by.
+// TestPerpAreaErrorEpochTimestamps is the regression test for the
+// float-accumulation time-stepping bug: the old `for t := t0; t <= t1;
+// t += dt` sweep overshoots t1 and drops the final instant, which changes
+// the sample count the mean divides by. Index stepping lands on t1 exactly.
 func TestPerpAreaErrorEpochTimestamps(t *testing.T) {
 	p := trajectory.MustNew([]trajectory.Sample{
 		{T: epoch, X: 0, Y: 0},
@@ -74,30 +31,5 @@ func TestPerpAreaErrorEpochTimestamps(t *testing.T) {
 	// contributes 0 — the value is exact and the call must not error out.
 	if got != 0 {
 		t.Errorf("collinear PerpAreaError = %v, want 0", got)
-	}
-}
-
-// TestErrorPercentilesInterpolated pins the interpolated-quantile
-// convention with hand-computed values: a stationary original versus an
-// approximation walking away at 10 m/s, sampled every second over 4 s,
-// gives the distance multiset {0, 10, 20, 30, 40}.
-func TestErrorPercentilesInterpolated(t *testing.T) {
-	p := trajectory.MustNew([]trajectory.Sample{
-		{T: 0, X: 0, Y: 0},
-		{T: 4, X: 0, Y: 0}, // stationary: only timestamps must increase
-	})
-	a := trajectory.MustNew([]trajectory.Sample{
-		{T: 0, X: 0, Y: 0},
-		{T: 4, X: 40, Y: 0},
-	})
-	got, err := ErrorPercentiles(p, a, 1, []float64{0, 37.5, 50, 90, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 15, 20, 36, 40}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-4) {
-			t.Errorf("percentile %d: got %v, want %v (truncated-rank quantile would bias low)", i, got[i], want[i])
-		}
 	}
 }

@@ -12,7 +12,6 @@ package quality
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geo"
 	"repro/internal/sed"
@@ -151,83 +150,6 @@ func PerpAreaError(p, a trajectory.Trajectory, dt float64) (float64, error) {
 		return 0, fmt.Errorf("quality: no overlapping samples at dt=%v", dt)
 	}
 	return sum / float64(n), nil
-}
-
-// ErrorPoint is the synchronized error at one instant.
-type ErrorPoint struct {
-	T    float64
-	Dist float64
-}
-
-// ErrorProfile samples the synchronized distance between original and
-// approximation every dt seconds over their overlapping span — the raw
-// material for plots and percentile summaries of how error evolves along
-// the journey.
-func ErrorProfile(p, a trajectory.Trajectory, dt float64) ([]ErrorPoint, error) {
-	if dt <= 0 {
-		return nil, fmt.Errorf("quality: non-positive sampling interval %v", dt)
-	}
-	if p.Len() < 2 || a.Len() < 2 {
-		return nil, fmt.Errorf("quality: need at least 2 samples in both trajectories")
-	}
-	t0 := p.StartTime()
-	if a.StartTime() > t0 {
-		t0 = a.StartTime()
-	}
-	t1 := p.EndTime()
-	if a.EndTime() < t1 {
-		t1 = a.EndTime()
-	}
-	if t1 <= t0 {
-		return nil, fmt.Errorf("quality: trajectories share no time overlap")
-	}
-	var out []ErrorPoint
-	// Index stepping: see PerpAreaError.
-	for i := 0; ; i++ {
-		t := t0 + float64(i)*dt
-		if t > t1 {
-			break
-		}
-		pp, ok1 := p.LocAt(t)
-		pa, ok2 := a.LocAt(t)
-		if !ok1 || !ok2 {
-			continue
-		}
-		out = append(out, ErrorPoint{T: t, Dist: pp.Dist(pa)})
-	}
-	return out, nil
-}
-
-// ErrorPercentiles returns the requested percentiles (in [0, 100]) of the
-// synchronized error distribution over time, sampled at interval dt.
-func ErrorPercentiles(p, a trajectory.Trajectory, dt float64, percentiles []float64) ([]float64, error) {
-	profile, err := ErrorProfile(p, a, dt)
-	if err != nil {
-		return nil, err
-	}
-	dists := make([]float64, len(profile))
-	for i, e := range profile {
-		dists[i] = e.Dist
-	}
-	sort.Float64s(dists)
-	out := make([]float64, len(percentiles))
-	for k, pc := range percentiles {
-		if pc < 0 || pc > 100 {
-			return nil, fmt.Errorf("quality: percentile %v outside [0, 100]", pc)
-		}
-		// Interpolated quantile over the order statistics (the convention
-		// internal/metrics' histogram quantiles follow): rank pc/100·(n−1),
-		// linear between the adjacent samples. Truncating the rank to an
-		// integer index would bias every percentile low.
-		rank := pc / 100 * float64(len(dists)-1)
-		lo := int(rank)
-		v := dists[lo]
-		if frac := rank - float64(lo); frac > 0 && lo+1 < len(dists) {
-			v += frac * (dists[lo+1] - v)
-		}
-		out[k] = v
-	}
-	return out, nil
 }
 
 func max(a, b int) int {

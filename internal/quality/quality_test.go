@@ -110,57 +110,6 @@ func TestEvaluateErrors(t *testing.T) {
 	}
 }
 
-func TestErrorProfile(t *testing.T) {
-	p, a := wave()
-	prof, err := ErrorProfile(p, a, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) < 10 {
-		t.Fatalf("profile has %d points", len(prof))
-	}
-	// Error vanishes at shared endpoints and peaks at the wave crests.
-	if prof[0].Dist > 1e-9 {
-		t.Errorf("error at start = %v", prof[0].Dist)
-	}
-	var peak float64
-	for _, e := range prof {
-		if e.Dist > peak {
-			peak = e.Dist
-		}
-	}
-	if !almostEq(peak, 4, 1e-9) {
-		t.Errorf("peak error = %v, want 4", peak)
-	}
-	if _, err := ErrorProfile(p, a, 0); err == nil {
-		t.Error("dt=0 accepted")
-	}
-	if _, err := ErrorProfile(p, trajectory.Trajectory{}, 1); err == nil {
-		t.Error("empty approximation accepted")
-	}
-}
-
-func TestErrorPercentiles(t *testing.T) {
-	p, a := wave()
-	pcs, err := ErrorPercentiles(p, a, 0.01, []float64{0, 50, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pcs[0] > pcs[1] || pcs[1] > pcs[2] {
-		t.Errorf("percentiles not monotone: %v", pcs)
-	}
-	if !almostEq(pcs[2], 4, 0.02) {
-		t.Errorf("p100 = %v, want ≈4", pcs[2])
-	}
-	if _, err := ErrorPercentiles(p, a, 0.01, []float64{-1}); err == nil {
-		t.Error("negative percentile accepted")
-	}
-}
-
-// The synchronized average error always upper-bounds zero and relates
-// sensibly to the perpendicular error on time-uniform data: for an object
-// moving at constant speed along each segment the two notions coincide in
-// spirit (sync ≥ perp, since perpendicular projection is the closest point).
 func TestSyncDominatesPerp(t *testing.T) {
 	p, a := wave()
 	r, err := Evaluate("baseline", p, a)

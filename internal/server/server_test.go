@@ -120,6 +120,33 @@ func TestServerQuery(t *testing.T) {
 	}
 }
 
+// An object known by one fix answers QUERY and QUERYTOL like it answers
+// QUERYRANGE, NEAREST and POSITION, with and without on-ingest compression.
+func TestServerQuerySeesOneFixObject(t *testing.T) {
+	for name, opts := range map[string]store.Options{
+		"none":     {},
+		"opwtr:30": {NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 30}) }},
+	} {
+		addr, shutdown := startServer(t, store.New(opts))
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		fmt.Fprint(conn, "APPEND b 0 5 5\nQUERY 0 0 10 10 0 1\nQUERYTOL 20 20 30 30 0 1 16\nQUERYRANGE 0 0 10 10 0 1\nNEAREST 0 0 0 1\nPOSITION b 0\n")
+		for _, want := range []string{"OK", "b", "END", "b", "END", "b 0 5 5", "END", "b 5 5 ", "END", "OK 5 5"} {
+			if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, want) {
+				t.Fatalf("%s: reply %q, %v; want %q", name, got, err, want)
+			}
+		}
+		conn.Close()
+		shutdown()
+	}
+}
+
 func TestServerQueryTolAndEvict(t *testing.T) {
 	addr, shutdown := startServer(t, store.New(store.Options{CellSize: 100}))
 	defer shutdown()
@@ -272,29 +299,6 @@ func TestServerHugeCoordinatesAnswerPromptly(t *testing.T) {
 	fmt.Fprint(other, "PING\n")
 	if got, err := r2.ReadString('\n'); err != nil || strings.TrimSpace(got) != "OK pong" {
 		t.Fatalf("PING on a second connection: %q, %v", got, err)
-	}
-}
-
-// A NaN time parses as a float and is outside every span: the two commands
-// that interpolate at a client-chosen time answer "nothing there" (indexing
-// past the trajectory's end instead takes the whole process down).
-func TestServerNaNTimeIsOutsideEverySpan(t *testing.T) {
-	addr, shutdown := startServer(t, store.New(store.Options{}))
-	defer shutdown()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	fmt.Fprint(conn, "APPEND a 0 0 0\nAPPEND a 10 5 5\nPOSITION a NaN\nNEAREST 0 0 NaN 1\nPING\n")
-	for _, want := range []string{"OK", "OK", "ERR no position", "END", "OK pong"} {
-		if got, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(got, want) {
-			t.Fatalf("reply %q, %v; want %q", got, err, want)
-		}
 	}
 }
 

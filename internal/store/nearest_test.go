@@ -2,10 +2,15 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/geo"
+	"repro/internal/gpsgen"
+	"repro/internal/stream"
 	"repro/internal/trajectory"
 )
 
@@ -99,5 +104,57 @@ func TestCrossObjectReadsDoNotCopyTheHotTier(t *testing.T) {
 		if perQuery := (after.TotalAlloc - before.TotalAlloc) / 10; perQuery > objects*points*24/8 {
 			t.Errorf("%s allocates %d B per query over a %d B hot tier", name, perQuery, objects*points*24)
 		}
+	}
+}
+
+// PositionAt reads one object; it must answer exactly what
+// Snapshot().LocAt answers — before, inside, in the buffered tail and after
+// the recorded span — without cloning the object to interpolate one point.
+func TestPositionAtMatchesSnapshotWithoutCopying(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	st := New(Options{
+		Shards:        4,
+		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 30}) },
+	})
+	g := gpsgen.New(5, gpsgen.Config{})
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%02d", i)
+		feed(t, st, ids[i], g.Trip(gpsgen.Urban, 300+600*rng.Float64()))
+	}
+	for _, id := range ids {
+		snap, _ := st.Snapshot(id)
+		retained, _ := st.Retained(id)
+		if snap.Len() != retained.Len()+1 {
+			t.Fatalf("%s: no buffered tail to test (snapshot %d, retained %d)", id, snap.Len(), retained.Len())
+		}
+		t0, tTail, t1 := snap.StartTime(), retained.EndTime(), snap.EndTime()
+		times := []float64{t0 - 1, t0, tTail, (tTail + t1) / 2, t1, t1 + 1, math.NaN()}
+		for i := 0; i < 50; i++ {
+			times = append(times, t0+(t1-t0)*rng.Float64())
+		}
+		for _, at := range times {
+			want, wantOK := snap.LocAt(at)
+			// Bit for bit, not approximately.
+			if got, ok := st.PositionAt(id, at); ok != wantOK || got != want {
+				t.Errorf("%s: PositionAt(%v) = %v, %v; Snapshot().LocAt = %v, %v", id, at, got, ok, want, wantOK)
+			}
+		}
+	}
+	if _, ok := st.PositionAt("ghost", 0); ok {
+		t.Error("unknown object answered")
+	}
+
+	long := New(Options{})
+	const points = 4096 // 96 KiB retained
+	feed(t, long, "v", eastbound(0, 0, points))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		long.PositionAt("v", 1000.5)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / 10; perCall > points*24/8 {
+		t.Errorf("PositionAt allocates %d B per call on a %d B object", perCall, points*24)
 	}
 }

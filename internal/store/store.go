@@ -21,9 +21,9 @@
 // different shards never contend, and eviction sweeps one shard at a time
 // instead of stalling every writer.
 //
-// Per-object operations (Append, Snapshot, PositionAt, History, Retained)
+// Per-object operations (Append, Snapshot, PositionAt, Retained)
 // are atomic: they touch exactly one shard. Cross-object operations (Query,
-// QueryWithTolerance, Nearest, IDs, Stats, EvictBefore, Save) visit the
+// QueryWithTolerance, Nearest, IDs, Stats, EvictBefore) visit the
 // shards in a fixed order, locking one at a time; each shard's contribution
 // is internally consistent, but there is no global snapshot lock, so an
 // append racing such an operation may be reflected on some shards and not
@@ -36,7 +36,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/seal"
@@ -72,13 +71,6 @@ type Options struct {
 	// single-lock store. See the package comment for the consistency
 	// model.
 	Shards int
-	// ErrorBound records the on-ingest compressor's synchronized max-error
-	// guarantee in metres (e.g. the distance threshold of an OPW-TR or
-	// OPW-SP compressor). It is informational: PositionBoundAt reports it
-	// as the uncertainty radius, fulfilling the paper's objective of data
-	// "with known, small margins of error". Zero means exact (no
-	// compression or unknown bound).
-	ErrorBound float64
 	// Metrics selects the registry the store's instruments register in;
 	// nil selects metrics.Default(). Instruments are shared by every store
 	// on the same registry (process-wide totals, the usual monitoring
@@ -397,41 +389,19 @@ func (obj *object) locAt(t float64) (geo.Point, bool) {
 	return obj.retained.LocAt(t)
 }
 
-// History returns the portion of an object's stored trajectory within
-// [t0, t1], with interpolated boundary samples. The boolean is false for
-// unknown objects.
-func (st *Store) History(id string, t0, t1 float64) (trajectory.Trajectory, bool) {
-	snap, ok := st.Snapshot(id)
-	if !ok {
-		return nil, false
-	}
-	return snap.TimeSlice(t0, t1), true
-}
-
 // PositionAt returns the interpolated position of the object at time t.
 // The boolean is false for unknown objects or times outside the recorded
 // span.
 func (st *Store) PositionAt(id string, t float64) (geo.Point, bool) {
 	defer st.ins.querySeconds["position"].ObserveSince(time.Now())
-	snap, ok := st.Snapshot(id)
-	if !ok {
+	sh := st.shardOf(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	obj := sh.objects[id]
+	if obj == nil {
 		return geo.Point{}, false
 	}
-	return snap.LocAt(t)
-}
-
-// PositionBoundAt returns the interpolated position of the object at time t
-// together with the uncertainty radius inherited from the on-ingest
-// compressor's error bound (Options.ErrorBound): the object's true position
-// at t was within radius metres of the returned point, for any t covered by
-// finalized (retained) segments. Inside the compressor's still-buffered
-// window the straight-line tail is not yet validated, so there the radius
-// is a heuristic rather than a guarantee; bounding the window
-// (compress.OPWTR's MaxWindow) bounds that exposure. The boolean is false
-// for unknown objects or times outside the recorded span.
-func (st *Store) PositionBoundAt(id string, t float64) (pos geo.Point, radius float64, ok bool) {
-	pos, ok = st.PositionAt(id, t)
-	return pos, st.opts.ErrorBound, ok
+	return obj.locAt(t)
 }
 
 // IDs returns the identifiers of all stored objects, sorted. Shards are
@@ -473,23 +443,29 @@ func (st *Store) queryIDs(rect geo.Rect, t0, t1 float64) []string {
 	for _, sh := range st.shards {
 		sh.mu.RLock()
 		hits := sh.index.query(rect, t0, t1)
-		// The buffered tail segment (last retained → last raw) is not
-		// indexed; check it directly so freshly ingested movement is
-		// queryable.
+		// The index holds segments between retained samples. Neither the
+		// buffered tail segment (last retained → last raw) nor an object
+		// that is a single sample is in it; check those directly so that
+		// freshly ingested movement is queryable.
 		for id, obj := range sh.objects {
-			if hits[id] || obj.rawSeen == 0 {
+			if hits[id] {
 				continue
 			}
-			if n := obj.retained.Len(); n > 0 && obj.lastRaw.T > obj.retained[n-1].T {
-				prev := obj.retained[n-1]
-				box := geo.Seg(prev.Pos(), obj.lastRaw.Pos()).Bounds()
-				if box.Intersects(rect) && overlaps(prev.T, obj.lastRaw.T, t0, t1) {
-					hits[id] = true
-				}
-			} else if n == 0 {
-				if rect.Contains(obj.lastRaw.Pos()) && overlaps(obj.lastRaw.T, obj.lastRaw.T, t0, t1) {
-					hits[id] = true
-				}
+			n := obj.retained.Len()
+			b, hasTail := obj.tail()
+			a := b // nothing retained: the buffered fix alone
+			switch {
+			case hasTail && n > 0:
+				a = obj.retained[n-1]
+			case hasTail:
+			case n == 1:
+				a, b = obj.retained[0], obj.retained[0] // a zero-length segment
+			default:
+				continue // every segment is indexed (or the object is empty)
+			}
+			box := geo.Seg(a.Pos(), b.Pos()).Bounds()
+			if box.Intersects(rect) && overlaps(a.T, b.T, t0, t1) {
+				hits[id] = true
 			}
 		}
 		sh.mu.RUnlock()
@@ -626,14 +602,17 @@ type Neighbor struct {
 
 // Nearest returns the k objects closest to q at time t (objects without a
 // position at t are skipped), ordered by increasing distance. Fewer than k
-// results are returned when fewer objects are live at t. When sealing is
+// results are returned when fewer objects are live at t, and none for a
+// non-finite q or t (outside everything, not an error). When sealing is
 // enabled, objects whose position at t lives only in the cold tier are
 // answered from their sealed blocks, within the tier's error bound; the hot
 // tier wins for objects present in both. Shards are visited in order; see
 // the package comment for the consistency model.
 func (st *Store) Nearest(q geo.Point, t float64, k int) []Neighbor {
 	defer st.ins.querySeconds["nearest"].ObserveSince(time.Now())
-	if k <= 0 {
+	// A non-finite query point is near nothing: every distance to it is NaN
+	// or +Inf, which the sort below cannot order.
+	if k <= 0 || !q.IsFinite() {
 		return nil
 	}
 	var all []Neighbor
@@ -712,40 +691,6 @@ func (st *Store) Stats() Stats {
 		s.SealedBytes = st.cold.CompressedBytes()
 	}
 	return s
-}
-
-// Save writes a snapshot of every object (retained samples plus buffered
-// tail) in the binary codec format. Each shard is captured consistently in
-// one locked pass; the shards are captured in order (no global lock).
-func (st *Store) Save(w interface{ Write([]byte) (int, error) }) error {
-	var named []codec.Named
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for id, obj := range sh.objects {
-			named = append(named, codec.Named{ID: id, Traj: obj.snapshot()})
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(named, func(i, j int) bool { return named[i].ID < named[j].ID })
-	return codec.EncodeFile(w, named)
-}
-
-// Load ingests a snapshot written by Save into an empty store. Each loaded
-// sample passes through the store's usual ingest path (including on-ingest
-// compression if configured).
-func (st *Store) Load(r interface{ Read([]byte) (int, error) }) error {
-	named, err := codec.DecodeFile(r)
-	if err != nil {
-		return err
-	}
-	for _, n := range named {
-		for _, s := range n.Traj {
-			if err := st.Append(n.ID, s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func overlaps(a0, a1, b0, b1 float64) bool { return a0 <= b1 && b0 <= a1 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -132,56 +131,29 @@ func TestPositionAt(t *testing.T) {
 	}
 }
 
-func TestHistory(t *testing.T) {
-	st := New(Options{})
-	feed(t, st, "car", trajectory.MustNew([]trajectory.Sample{
-		trajectory.S(0, 0, 0), trajectory.S(10, 100, 0), trajectory.S(20, 200, 0),
-	}))
-	h, ok := st.History("car", 5, 15)
-	if !ok {
-		t.Fatal("object missing")
-	}
-	if h.Len() != 3 || h[0].T != 5 || h[2].T != 15 {
-		t.Errorf("History = %v", h)
-	}
-	if _, ok := st.History("ghost", 0, 1); ok {
-		t.Error("unknown object answered")
-	}
-	if h, _ := st.History("car", 100, 200); h.Len() != 0 {
-		t.Errorf("disjoint window returned %v", h)
-	}
-}
-
-// PositionBoundAt delivers the paper's "known margins of error": the true
-// (raw) position always lies within the reported radius of the answer.
-func TestPositionBoundAt(t *testing.T) {
+// The paper's "known margins of error": under an OPW-TR compressor the true
+// (raw) position always lies within the threshold of PositionAt's answer.
+func TestPositionAtWithinCompressorBound(t *testing.T) {
 	const eps = 40.0
 	st := New(Options{
 		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: eps}) },
-		ErrorBound:    eps,
 	})
 	g := gpsgen.New(7, gpsgen.Config{})
 	p := g.Trip(gpsgen.Urban, 1200)
 	feed(t, st, "car", p)
 
 	for _, tt := range []float64{100, 300, 500, 700, 900} {
-		pos, radius, ok := st.PositionBoundAt("car", tt)
+		pos, ok := st.PositionAt("car", tt)
 		if !ok {
 			t.Fatalf("no position at t=%v", tt)
-		}
-		if radius != eps {
-			t.Fatalf("radius = %v, want %v", radius, eps)
 		}
 		truth, ok := p.LocAt(tt)
 		if !ok {
 			t.Fatalf("no truth at t=%v", tt)
 		}
-		if d := truth.Dist(pos); d > radius+1e-9 {
-			t.Errorf("t=%v: true position %.2f m from answer, beyond radius %v", tt, d, radius)
+		if d := truth.Dist(pos); d > eps+1e-9 {
+			t.Errorf("t=%v: true position %.2f m from answer, beyond the bound %v", tt, d, eps)
 		}
-	}
-	if _, _, ok := st.PositionBoundAt("ghost", 0); ok {
-		t.Error("unknown object answered")
 	}
 }
 
@@ -230,6 +202,59 @@ func TestQuerySeesBufferedTail(t *testing.T) {
 	}
 }
 
+// An object known by one fix has no indexed segment and no buffered tail
+// beyond its one retained sample; Query and QueryWithTolerance must still
+// find it, as a zero-length segment, the way RangePoints, Nearest and
+// PositionAt do.
+func TestQuerySeesLoneRetainedSample(t *testing.T) {
+	rect := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(10, 10)}
+	elsewhere := geo.Rect{Min: geo.Pt(20, 20), Max: geo.Pt(30, 30)}
+	opwtr := func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 30}) }
+	for name, opts := range map[string]Options{
+		"grid":        {Index: IndexGrid},
+		"rtree":       {Index: IndexRTree},
+		"grid+opwtr":  {Index: IndexGrid, NewCompressor: opwtr},
+		"rtree+opwtr": {Index: IndexRTree, NewCompressor: opwtr},
+	} {
+		for _, shape := range []struct {
+			name string
+			fill func(st *Store)
+		}{
+			{"one fix", func(st *Store) {
+				feed(t, st, "b", trajectory.Trajectory{trajectory.S(20, 5, 5)})
+			}},
+			{"cut down to one sample by EvictBefore", func(st *Store) {
+				feed(t, st, "b", trajectory.Trajectory{trajectory.S(0, 500, 500), trajectory.S(10, 900, 100), trajectory.S(20, 5, 5)})
+				// Raw store: one retained sample survives. Behind a
+				// compressor the survivor is the buffered newest fix.
+				st.EvictBefore(15)
+			}},
+		} {
+			st := New(opts)
+			shape.fill(st)
+			if snap, _ := st.Snapshot("b"); opts.NewCompressor == nil && snap.Len() != 1 {
+				t.Fatalf("%s, %s: fixture holds %v, want one sample", name, shape.name, snap)
+			}
+			for _, q := range []struct {
+				what   string
+				got    []string
+				wantIn bool
+			}{
+				{"Query", st.Query(rect, 15, 25), true},
+				{"Query at the sample's instant", st.Query(rect, 20, 20), true},
+				{"QueryWithTolerance from 15 m away", st.QueryWithTolerance(elsewhere, 15, 25, 16), true},
+				{"Query before the sample", st.Query(rect, 15, 19), false},
+				{"Query after the sample", st.Query(rect, 21, 25), false},
+				{"Query elsewhere", st.Query(elsewhere, 15, 25), false},
+			} {
+				if in := len(q.got) == 1 && q.got[0] == "b"; in != q.wantIn || len(q.got) > 1 {
+					t.Errorf("%s, %s: %s = %v, want b in it: %v", name, shape.name, q.what, q.got, q.wantIn)
+				}
+			}
+		}
+	}
+}
+
 func TestIDsAndStats(t *testing.T) {
 	st := New(Options{})
 	feed(t, st, "zebra", trajectory.MustNew([]trajectory.Sample{trajectory.S(0, 0, 0)}))
@@ -241,42 +266,6 @@ func TestIDsAndStats(t *testing.T) {
 	s := st.Stats()
 	if s.Objects != 2 || s.RawPoints != 2 {
 		t.Errorf("Stats = %+v", s)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	st := New(Options{})
-	g := gpsgen.New(3, gpsgen.Config{})
-	p1 := g.Trip(gpsgen.Urban, 600)
-	p2 := g.Trip(gpsgen.Rural, 600)
-	feed(t, st, "u", p1)
-	feed(t, st, "r", p2)
-
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	st2 := New(Options{})
-	if err := st2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"u", "r"} {
-		a, _ := st.Snapshot(id)
-		b, ok := st2.Snapshot(id)
-		if !ok || a.Len() != b.Len() {
-			t.Errorf("object %q: %d vs %d points after load", id, a.Len(), b.Len())
-		}
-	}
-	// Loaded store stays queryable.
-	if len(st2.IDs()) != 2 {
-		t.Errorf("loaded IDs = %v", st2.IDs())
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	st := New(Options{})
-	if err := st.Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage snapshot accepted")
 	}
 }
 

@@ -33,9 +33,13 @@
 //   - online compression of live position streams (NewOnlineOPWTR and
 //     friends, Collect, Pipeline — see the stream types);
 //   - a moving-object store with on-ingest compression and spatiotemporal
-//     range queries (NewStore);
+//     range queries (NewStore), optionally backed by a write-ahead log
+//     (OpenDurableStore), observable through a metrics registry
+//     (NewMetricsRegistry);
 //   - serialization: compact binary (EncodeFile/DecodeFile), CSV and
 //     GeoJSON;
+//   - road networks and HMM map matching (NewRoadGrid, MapMatch,
+//     NewOnlineMatcher);
 //   - the synthetic GPS workload generator used by the paper reproduction
 //     (GenerateTrip, PaperDataset);
 //   - the experiment harness regenerating the paper's Table 2 and
@@ -46,13 +50,10 @@ import (
 	"context"
 	"io"
 
-	"repro/internal/analysis"
-	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/compress"
 	"repro/internal/geo"
 	"repro/internal/gpsgen"
-	"repro/internal/interp"
 	"repro/internal/mapmatch"
 	"repro/internal/metrics"
 	"repro/internal/quality"
@@ -61,7 +62,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/trajectory"
-	"repro/internal/tune"
 	"repro/internal/wal"
 )
 
@@ -112,13 +112,6 @@ type (
 	IndexKind = store.IndexKind
 	// DurableStore is a Store backed by a write-ahead log on disk.
 	DurableStore = wal.DurableStore
-
-	// TimeInterval is a closed time interval used by the analysis tools.
-	TimeInterval = analysis.Interval
-	// StopEvent is a detected stay of a moving object.
-	StopEvent = analysis.Stop
-	// ProfilePoint is one segment of a speed/heading profile.
-	ProfilePoint = analysis.ProfilePoint
 
 	// Named pairs a trajectory with its object identifier for serialization.
 	Named = codec.Named
@@ -391,143 +384,6 @@ func WriteMetricsText(w io.Writer, snaps []MetricSnapshot) { metrics.WriteText(w
 // exposition format — what trajserver serves at /metrics.
 func WriteMetricsPrometheus(w io.Writer, snaps []MetricSnapshot) { metrics.WritePrometheus(w, snaps) }
 
-// Movement analysis (the paper's motivating "study, analyse and understand
-// these patterns").
-
-// DistanceBetweenAt returns the separation of two moving objects at time t.
-func DistanceBetweenAt(p, q Trajectory, t float64) (float64, bool) {
-	return analysis.DistanceAt(p, q, t)
-}
-
-// ClosestApproach returns the time and distance of two objects' minimal
-// separation over their overlapping time span.
-func ClosestApproach(p, q Trajectory) (at, dist float64, err error) {
-	return analysis.ClosestApproach(p, q)
-}
-
-// Within returns the time intervals during which two objects travel within
-// d metres of each other.
-func Within(p, q Trajectory, d float64) ([]TimeInterval, error) {
-	return analysis.Within(p, q, d)
-}
-
-// Meets reports whether two objects ever come within d metres, and when
-// first.
-func Meets(p, q Trajectory, d float64) (bool, float64, error) {
-	return analysis.Meets(p, q, d)
-}
-
-// Stops detects stays: maximal periods with derived speed below maxSpeed
-// lasting at least minDuration seconds.
-func Stops(p Trajectory, maxSpeed, minDuration float64) ([]StopEvent, error) {
-	return analysis.Stops(p, maxSpeed, minDuration)
-}
-
-// Profile derives the per-segment speed and heading series.
-func Profile(p Trajectory) []ProfilePoint { return analysis.Profile(p) }
-
-// SpeedPercentiles returns the requested percentiles of the time-weighted
-// derived-speed distribution.
-func SpeedPercentiles(p Trajectory, percentiles []float64) ([]float64, error) {
-	return analysis.SpeedPercentiles(p, percentiles)
-}
-
-// FlockEvent is a detected group of objects travelling together.
-type FlockEvent = analysis.Flock
-
-// Flocks detects groups of at least minSize objects moving within radius of
-// each other for at least minDuration seconds, examined every dt seconds.
-func Flocks(ps []Trajectory, radius float64, minSize int, minDuration, dt float64) ([]FlockEvent, error) {
-	return analysis.Flocks(ps, radius, minSize, minDuration, dt)
-}
-
-// ODMatrix aggregates trips between origin and destination zones.
-type ODMatrix = analysis.ODMatrix
-
-// ODFlow is one aggregated origin→destination movement.
-type ODFlow = analysis.Flow
-
-// OriginDestination bins trajectories' endpoints into zones of the given
-// size and counts the commuter flows.
-func OriginDestination(ps []Trajectory, zone float64) (*ODMatrix, error) {
-	return analysis.OriginDestination(ps, zone)
-}
-
-// DensityMap is a spatial density grid of object-seconds per cell.
-type DensityMap = analysis.Heatmap
-
-// Hotspot is one high-density cell of a DensityMap.
-type Hotspot = analysis.Hotspot
-
-// Density builds an object-seconds heatmap over the trajectories for the
-// window [t0, t1], sampled every dt seconds into square cells.
-func Density(ps []Trajectory, cell, t0, t1, dt float64) (*DensityMap, error) {
-	return analysis.Density(ps, cell, t0, t1, dt)
-}
-
-// ErrorPoint is the synchronized error at one instant.
-type ErrorPoint = quality.ErrorPoint
-
-// ErrorProfile samples the synchronized error between original and
-// approximation every dt seconds.
-func ErrorProfile(p, a Trajectory, dt float64) ([]ErrorPoint, error) {
-	return quality.ErrorProfile(p, a, dt)
-}
-
-// ErrorPercentiles returns percentiles of the synchronized error
-// distribution over time.
-func ErrorPercentiles(p, a Trajectory, dt float64, percentiles []float64) ([]float64, error) {
-	return quality.ErrorPercentiles(p, a, dt, percentiles)
-}
-
-// DTW returns the dynamic time warping distance between two trajectories'
-// positional sequences.
-func DTW(p, q Trajectory) (float64, error) { return analysis.DTW(p, q) }
-
-// Frechet returns the discrete Fréchet distance between two trajectories'
-// positional sequences.
-func Frechet(p, q Trajectory) (float64, error) { return analysis.Frechet(p, q) }
-
-// LCSS returns the longest-common-subsequence similarity in [0, 1] of two
-// trajectories, matching points within eps metres.
-func LCSS(p, q Trajectory, eps float64) (float64, error) { return analysis.LCSS(p, q, eps) }
-
-// Trajectory clustering.
-
-// ClusterResult is a clustering of trajectories into K groups.
-type ClusterResult = cluster.Result
-
-// Linkage selects the inter-cluster distance for AgglomerativeCluster.
-type Linkage = cluster.Linkage
-
-// Linkage strategies.
-const (
-	LinkageSingle   = cluster.Single
-	LinkageComplete = cluster.Complete
-	LinkageAverage  = cluster.Average
-)
-
-// DistanceMatrix computes the pairwise trajectory distance matrix under the
-// given metric (e.g. DTW or Frechet).
-func DistanceMatrix(ps []Trajectory, metric func(a, b Trajectory) (float64, error)) ([][]float64, error) {
-	return cluster.DistanceMatrix(ps, metric)
-}
-
-// KMedoids clusters a distance matrix into k groups around medoid items.
-func KMedoids(dist [][]float64, k int, seed int64, maxIter int) (ClusterResult, error) {
-	return cluster.KMedoids(dist, k, seed, maxIter)
-}
-
-// AgglomerativeCluster performs hierarchical clustering down to k groups.
-func AgglomerativeCluster(dist [][]float64, k int, linkage Linkage) (ClusterResult, error) {
-	return cluster.Agglomerative(dist, k, linkage)
-}
-
-// Silhouette scores a clustering in [-1, 1]; higher is better.
-func Silhouette(dist [][]float64, assignments []int) (float64, error) {
-	return cluster.Silhouette(dist, assignments)
-}
-
 // Serialization.
 
 // EncodeFile writes named trajectories in the compact binary format.
@@ -558,14 +414,6 @@ func DecodeGPX(r io.Reader, proj *Projector) ([]Named, *Projector, error) {
 	return codec.DecodeGPX(r, proj)
 }
 
-// DBSCANResult labels each trajectory with a cluster or cluster.Noise.
-type DBSCANResult = cluster.DBSCANResult
-
-// DBSCAN performs density-based clustering over a distance matrix.
-func DBSCAN(dist [][]float64, eps float64, minPts int) (DBSCANResult, error) {
-	return cluster.DBSCAN(dist, eps, minPts)
-}
-
 // EncodeCSV writes named trajectories as CSV (columns id,t,x,y).
 func EncodeCSV(w io.Writer, ts []Named) error { return codec.EncodeCSV(w, ts) }
 
@@ -580,39 +428,6 @@ func EncodeGeoJSON(w io.Writer, ts []Named, proj *Projector) error {
 
 // NewProjector returns a WGS-84 ↔ planar projector centred at origin.
 func NewProjector(origin LatLon) (*Projector, error) { return geo.NewProjector(origin) }
-
-// Threshold tuning (the paper's §5: "choosing a proper threshold is not
-// easy and is application-dependent").
-
-// TuneResult reports a tuned threshold and what it achieves.
-type TuneResult = tune.Result
-
-// TuneForCompression returns the smallest threshold in [lo, hi] whose mean
-// compression over the sample trajectories reaches targetPct.
-func TuneForCompression(factory func(threshold float64) Algorithm, sample []Trajectory, targetPct, lo, hi float64) (TuneResult, error) {
-	return tune.ForCompression(factory, sample, targetPct, lo, hi)
-}
-
-// TuneForError returns the largest threshold in [lo, hi] whose mean
-// synchronized error stays within maxErr metres.
-func TuneForError(factory func(threshold float64) Algorithm, sample []Trajectory, maxErr, lo, hi float64) (TuneResult, error) {
-	return tune.ForError(factory, sample, maxErr, lo, hi)
-}
-
-// Advanced interpolation (the paper's §5 future work).
-
-// Spline is a C¹ Catmull-Rom interpolation of a trajectory.
-type Spline = interp.Spline
-
-// NewSpline builds a cubic Hermite spline through the trajectory samples.
-func NewSpline(p Trajectory) (*Spline, error) { return interp.NewSpline(p) }
-
-// SplineAvgError computes the synchronized average error with both
-// trajectories reconstructed by spline interpolation instead of
-// piecewise-linear; tol is the quadrature tolerance in metres.
-func SplineAvgError(p, a Trajectory, tol float64) (float64, error) {
-	return interp.AvgError(p, a, tol)
-}
 
 // Road networks and map matching (the paper's "underlying transportation
 // infrastructure").

@@ -35,83 +35,6 @@ func TestFacadeAlgorithmsRun(t *testing.T) {
 	}
 }
 
-func TestFacadeAnalysisSweep(t *testing.T) {
-	fleet := GenerateFleet(22, 6, 4000, 600)
-	if len(fleet) != 6 {
-		t.Fatalf("fleet size %d", len(fleet))
-	}
-	a, b := fleet[0], fleet[1]
-
-	if _, _, err := ClosestApproach(a, b); err != nil {
-		t.Errorf("ClosestApproach: %v", err)
-	}
-	if _, err := Within(a, b, 500); err != nil {
-		t.Errorf("Within: %v", err)
-	}
-	if _, _, err := Meets(a, b, 500); err != nil {
-		t.Errorf("Meets: %v", err)
-	}
-	if _, ok := DistanceBetweenAt(a, b, a.StartTime()+300); !ok {
-		t.Error("DistanceBetweenAt failed mid-span")
-	}
-	if _, err := Stops(a, 1.5, 15); err != nil {
-		t.Errorf("Stops: %v", err)
-	}
-	if prof := Profile(a); len(prof) != a.Len()-1 {
-		t.Errorf("Profile length %d", len(prof))
-	}
-	if _, err := SpeedPercentiles(a, []float64{50}); err != nil {
-		t.Errorf("SpeedPercentiles: %v", err)
-	}
-	if _, err := Flocks(fleet, 300, 2, 30, 10); err != nil {
-		t.Errorf("Flocks: %v", err)
-	}
-	dm, err := Density(fleet, 500, 0, 900, 10)
-	if err != nil {
-		t.Fatalf("Density: %v", err)
-	}
-	if dm.Total() <= 0 || len(dm.Hotspots(3)) == 0 {
-		t.Error("density map empty")
-	}
-
-	c := NewTDTR(30).Compress(a)
-	if _, err := ErrorProfile(a, c, 5); err != nil {
-		t.Errorf("ErrorProfile: %v", err)
-	}
-	if _, err := ErrorPercentiles(a, c, 5, []float64{95}); err != nil {
-		t.Errorf("ErrorPercentiles: %v", err)
-	}
-	if _, err := MaxError(a, c); err != nil {
-		t.Errorf("MaxError: %v", err)
-	}
-}
-
-func TestFacadeClustering(t *testing.T) {
-	fleet := GenerateFleet(23, 6, 3000, 400)
-	dist, err := DistanceMatrix(fleet, Frechet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	km, err := KMedoids(dist, 2, 1, 20)
-	if err != nil || km.K != 2 {
-		t.Errorf("KMedoids: %+v, %v", km, err)
-	}
-	ag, err := AgglomerativeCluster(dist, 2, LinkageAverage)
-	if err != nil || ag.K != 2 {
-		t.Errorf("Agglomerative: %+v, %v", ag, err)
-	}
-	if _, err := Silhouette(dist, km.Assignments); err != nil {
-		t.Errorf("Silhouette: %v", err)
-	}
-	db, err := DBSCAN(dist, 1e6, 2)
-	if err != nil || db.K < 1 {
-		t.Errorf("DBSCAN: %+v, %v", db, err)
-	}
-	if _, err := DTW(fleet[0], fleet[1]); err != nil {
-		t.Errorf("DTW: %v", err)
-	}
-}
-
 func TestFacadeCodecs(t *testing.T) {
 	named := []Named{{ID: "x", Traj: GenerateTrip(24, Mixed, 300)}}
 
@@ -162,24 +85,6 @@ func TestFacadeStoreExtras(t *testing.T) {
 	}
 }
 
-func TestFacadeTuneAndSpline(t *testing.T) {
-	sample := []Trajectory{GenerateTrip(26, Urban, 600)}
-	if _, err := TuneForCompression(NewOPWTR, sample, 40, 0, 500); err != nil {
-		t.Errorf("TuneForCompression: %v", err)
-	}
-	sp, err := NewSpline(sample[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sp.At(sample[0].StartTime() + 10); !ok {
-		t.Error("spline At failed")
-	}
-	c := NewTDTR(30).Compress(sample[0])
-	if _, err := SplineAvgError(sample[0], c, 1e-2); err != nil {
-		t.Errorf("SplineAvgError: %v", err)
-	}
-}
-
 func TestFacadeMapMatch(t *testing.T) {
 	g := NewRoadGrid(8, 8, 200)
 	// A noisy eastbound drive along the bottom road.
@@ -213,29 +118,12 @@ func TestFacadeTrajectoryHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeCommuteAndOD(t *testing.T) {
+func TestFacadeFleetAndCommute(t *testing.T) {
+	if fleet := GenerateFleet(22, 6, 4000, 600); len(fleet) != 6 {
+		t.Fatalf("fleet size %d", len(fleet))
+	}
 	week := GenerateCommute(28, 5, Urban, 1200)
-	legs := week.SplitGaps(3600)
-	if len(legs) != 10 {
+	if legs := week.SplitGaps(3600); len(legs) != 10 {
 		t.Fatalf("week split into %d legs, want 10", len(legs))
-	}
-	od, err := OriginDestination(legs, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if od.Trips() != 10 {
-		t.Errorf("OD counted %d trips", od.Trips())
-	}
-	flows := od.TopFlows(2)
-	if len(flows) == 0 {
-		t.Fatal("no flows")
-	}
-	// The same home→work route repeats every day, so the top flow carries
-	// (about) half the trips.
-	if flows[0].Count < 4 {
-		t.Errorf("top flow count %d, want ≥ 4 (repeated commute)", flows[0].Count)
-	}
-	if _, err := LCSS(legs[0], legs[2], 100); err != nil {
-		t.Errorf("LCSS between commute legs: %v", err)
 	}
 }

@@ -2,7 +2,7 @@ package trajcomp
 
 // Integration tests exercising the public API end to end, the way a
 // downstream user would: generate → compress → evaluate → serialize → store
-// → query, plus tuning and spline reconstruction.
+// → query.
 
 import (
 	"bytes"
@@ -91,52 +91,6 @@ func TestEndToEndParseAndSpecs(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("bogus:1"); err == nil {
 		t.Error("bogus spec accepted")
-	}
-}
-
-func TestEndToEndTuneThenCompress(t *testing.T) {
-	sample := PaperDataset()[:3]
-	res, err := TuneForError(NewTDTR, sample, 15, 0.5, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgError > 15 {
-		t.Errorf("tuned error %v above budget", res.AvgError)
-	}
-	// Apply the tuned threshold to unseen data; mean error should be of the
-	// same order (it is a statistical, not worst-case, bound).
-	fresh := GenerateTrip(77, Mixed, 1800)
-	a := NewTDTR(res.Threshold).Compress(fresh)
-	e, err := AvgError(fresh, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e > 3*15 {
-		t.Errorf("tuned threshold generalizes badly: error %v on fresh data", e)
-	}
-}
-
-func TestEndToEndSplineReconstruction(t *testing.T) {
-	p := GenerateTrip(4, Urban, 900)
-	a := NewTDTR(25).Compress(p)
-	sp, err := NewSpline(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sp.At(p.StartTime() + p.Duration()/2); !ok {
-		t.Error("spline cannot answer mid-trip time")
-	}
-	se, err := SplineAvgError(p, a, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	le, err := AvgError(p, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both error notions must be of the same order on car data.
-	if se > 5*le+5 || se < le/5-5 {
-		t.Errorf("spline error %v wildly different from linear %v", se, le)
 	}
 }
 
