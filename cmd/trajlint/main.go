@@ -1,34 +1,23 @@
 // Command trajlint runs the repository's custom static-analysis suite
-// (internal/lint) over every package in the module: layering, floatcmp,
-// floatstep, nanguard, errcheck, lockcopy, goroleak, mutexguard, lockorder
-// and atomicmix.
+// (internal/lint) over every package in the module, _test.go files
+// included: layering, floatcmp, floatstep, nanguard, errcheck and goroleak.
+// Only goroleak binds test files; the other rules exempt them.
 //
 // Usage:
 //
-//	trajlint [flags] [./... | dir ...]
+//	trajlint [-json] [./... | dir ...]
 //
-//	-json             emit findings as a JSON array instead of text
-//	-tests            also load _test.go files and run the concurrency
-//	                  analyzers (lockcopy, goroleak, mutexguard, lockorder,
-//	                  atomicmix) over them; the float/layering/errcheck
-//	                  rules still exempt tests
-//	-allowlist file   suppression file of "analyzer file:line" entries
-//	                  (default .trajlint.allow at the module root, if present)
-//	-fix-allowlist    write every current finding into the allowlist file so
-//	                  the gate passes, then exit 0; prefer in-source
-//	                  //lint:allow annotations for anything long-lived.
-//	                  Combined with -prune-allowlist it instead rewrites the
-//	                  file with the stale entries removed.
-//	-prune-allowlist  report allowlist entries that no longer match any
-//	                  finding (exit 1 if any are stale); with -fix-allowlist
-//	                  the file is rewritten without them
+//	-json   emit findings as a JSON array instead of text
+//
+// -tests is accepted and ignored, since test files are always loaded:
+// bench/README.md's lint command line still passes it.
 //
 // With no arguments (or "./...") the whole module is linted; directory
 // arguments restrict which findings are reported (the whole module is
 // still loaded, since the analyzers need cross-package types).
 //
-// Exit status: 0 when clean, 1 when findings (or stale allowlist entries)
-// are reported, 2 on usage or load errors.
+// Exit status: 0 when clean, 1 when findings are reported, 2 on usage or
+// load errors.
 package main
 
 import (
@@ -57,13 +46,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, workdir string) int {
 	fs := flag.NewFlagSet("trajlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		jsonOut    = fs.Bool("json", false, "emit findings as JSON")
-		withTests  = fs.Bool("tests", false, "run the concurrency analyzers over _test.go files too")
-		allowPath  = fs.String("allowlist", "", "allowlist file (default: .trajlint.allow at the module root, if present)")
-		fixAllow   = fs.Bool("fix-allowlist", false, "write current findings to the allowlist file and exit 0 (with -prune-allowlist: rewrite it without stale entries)")
-		pruneAllow = fs.Bool("prune-allowlist", false, "report (and with -fix-allowlist remove) allowlist entries matching no finding")
-	)
+	jsonOut := fs.Bool("json", false, "emit findings as JSON")
+	fs.Bool("tests", true, "ignored: _test.go files are always loaded")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -73,11 +57,7 @@ func run(args []string, stdout, stderr io.Writer, workdir string) int {
 		fmt.Fprintln(stderr, "trajlint:", err)
 		return 2
 	}
-	load := lint.Load
-	if *withTests {
-		load = lint.LoadWithTests
-	}
-	m, err := load(root)
+	m, err := lint.Load(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "trajlint:", err)
 		return 2
@@ -90,72 +70,10 @@ func run(args []string, stdout, stderr io.Writer, workdir string) int {
 		// which gets the other analyzers only.
 		cfg.LayerRules = nil
 	}
-	path := *allowPath
-	if path == "" {
-		path = filepath.Join(root, ".trajlint.allow")
-	}
-	allowData, allowErr := os.ReadFile(path)
-	if allowErr == nil {
-		cfg.Allowlist, err = lint.ParseAllowlist(string(allowData))
-		if err != nil {
-			fmt.Fprintln(stderr, "trajlint:", err)
-			return 2
-		}
-	} else if *allowPath != "" {
-		fmt.Fprintln(stderr, "trajlint:", allowErr)
-		return 2
-	}
-
-	if *pruneAllow {
-		if allowErr != nil {
-			fmt.Fprintln(stderr, "trajlint: no allowlist at", path)
-			return 0
-		}
-		// Stale detection needs the unsuppressed finding set: an entry is
-		// live only if some finding would match it.
-		bare := *cfg
-		bare.Allowlist = nil
-		kept, stale, err := lint.PruneAllowlist(string(allowData), lint.Keys(lint.Run(m, &bare)))
-		if err != nil {
-			fmt.Fprintln(stderr, "trajlint:", err)
-			return 2
-		}
-		if len(stale) == 0 {
-			fmt.Fprintln(stderr, "trajlint: allowlist is clean")
-			return 0
-		}
-		for _, s := range stale {
-			fmt.Fprintln(stdout, "stale:", s)
-		}
-		if *fixAllow {
-			if err := os.WriteFile(path, []byte(kept), 0o644); err != nil {
-				fmt.Fprintln(stderr, "trajlint:", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "trajlint: removed %d stale entrie(s) from %s\n", len(stale), path)
-			return 0
-		}
-		fmt.Fprintf(stderr, "trajlint: %d stale allowlist entrie(s); rerun with -fix-allowlist to remove\n", len(stale))
-		return 1
-	}
-
 	diags, err := filterByArgs(lint.Run(m, cfg), root, fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, "trajlint:", err)
 		return 2
-	}
-
-	if *fixAllow {
-		if len(diags) == 0 {
-			fmt.Fprintln(stderr, "trajlint: no findings; allowlist not written")
-			return 0
-		}
-		if err := os.WriteFile(path, []byte(lint.FormatAllowlist(diags)), 0o644); err != nil {
-			fmt.Fprintln(stderr, "trajlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "trajlint: wrote %d suppressions to %s\n", len(diags), path)
-		return 0
 	}
 
 	if *jsonOut {

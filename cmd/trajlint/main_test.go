@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,14 +34,17 @@ func fixtureModule(t *testing.T) string {
 	return abs
 }
 
-// TestExitCodeClean: a module with no findings exits 0 and prints nothing.
+// TestExitCodeClean: a module with no findings exits 0 and prints nothing,
+// with or without the ignored -tests flag.
 func TestExitCodeClean(t *testing.T) {
-	code, stdout, stderr := runCLI(t, cleanModule(t))
-	if code != 0 {
-		t.Fatalf("clean module exited %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("clean run wrote to stdout: %q", stdout)
+	for _, args := range [][]string{nil, {"-tests", "./..."}} {
+		code, stdout, stderr := runCLI(t, cleanModule(t), args...)
+		if code != 0 {
+			t.Fatalf("clean module %q exited %d, want 0\nstdout: %s\nstderr: %s", args, code, stdout, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("clean run %q wrote to stdout: %q", args, stdout)
+		}
 	}
 }
 
@@ -67,16 +69,6 @@ func TestExitCodeUsageError(t *testing.T) {
 	if code, _, _ := runCLI(t, cleanModule(t), "-no-such-flag"); code != 2 {
 		t.Errorf("unknown flag: exited %d, want 2", code)
 	}
-	bad := filepath.Join(t.TempDir(), "bad.allow")
-	if err := os.WriteFile(bad, []byte("malformed entry without location\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCLI(t, cleanModule(t), "-allowlist", bad); code != 2 {
-		t.Errorf("malformed allowlist: exited %d, want 2", code)
-	}
-	if code, _, _ := runCLI(t, cleanModule(t), "-allowlist", filepath.Join(t.TempDir(), "missing")); code != 2 {
-		t.Errorf("explicitly named missing allowlist: exited %d, want 2", code)
-	}
 }
 
 // TestJSONOutputShape: -json over a clean module emits an empty JSON array,
@@ -88,44 +80,5 @@ func TestJSONOutputShape(t *testing.T) {
 	}
 	if strings.TrimSpace(stdout) != "[]" {
 		t.Errorf("clean -json output = %q, want []", stdout)
-	}
-}
-
-// TestPruneAllowlistCLI covers the staleness workflow: a stale entry exits
-// 1 and is listed, -fix-allowlist rewrites the file keeping live entries,
-// and a module without an allowlist prunes as a no-op.
-func TestPruneAllowlistCLI(t *testing.T) {
-	allow := filepath.Join(t.TempDir(), "trajlint.allow")
-	content := "# pinned\nfloatcmp internal/geo/geo.go:8 long gone\n"
-	if err := os.WriteFile(allow, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, stdout, _ := runCLI(t, cleanModule(t), "-prune-allowlist", "-allowlist", allow)
-	if code != 1 {
-		t.Fatalf("stale allowlist exited %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "stale: floatcmp internal/geo/geo.go:8") {
-		t.Errorf("stale entry not reported:\n%s", stdout)
-	}
-
-	code, _, _ = runCLI(t, cleanModule(t), "-prune-allowlist", "-fix-allowlist", "-allowlist", allow)
-	if code != 0 {
-		t.Fatalf("prune -fix-allowlist exited %d, want 0", code)
-	}
-	rewritten, err := os.ReadFile(allow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(rewritten), "floatcmp") {
-		t.Errorf("stale entry survived -fix-allowlist:\n%s", rewritten)
-	}
-	if !strings.Contains(string(rewritten), "# pinned") {
-		t.Errorf("comment dropped by -fix-allowlist:\n%s", rewritten)
-	}
-
-	code, _, stderr := runCLI(t, cleanModule(t), "-prune-allowlist", "-fix-allowlist", "-allowlist", allow)
-	if code != 0 {
-		t.Fatalf("pruning a clean allowlist exited %d, want 0\nstderr: %s", code, stderr)
 	}
 }

@@ -165,7 +165,8 @@ func main() {
 			log.Fatal(err)
 		}
 		backend = durable
-		//lint:allow mutexguard single-threaded setup: no goroutine shares the store until Serve starts
+		// Single-threaded setup: no goroutine shares the store until Serve
+		// starts.
 		st = durable.Store
 		durable.SetSyncEvery(*walSync)
 		log.Printf("durable: write-ahead log at %s (sync every %d records)", *walPath, *walSync)
@@ -174,7 +175,6 @@ func main() {
 		backend = st
 	}
 	srv := server.New(backend)
-	//lint:allow mutexguard single-threaded setup: Serve has not started, no connection can race this write
 	srv.MaxConns = *maxConns
 	srv.SubBuf = *subBuf
 	srv.WriteTimeout = 30 * time.Second

@@ -467,8 +467,6 @@ func (sub *Subscriber) CompCount() int {
 }
 
 // Policy reports the subscription's slow-consumer policy.
-//
-//lint:allow mutexguard policy is immutable after Subscribe
 func (sub *Subscriber) Policy() Policy { return sub.policy }
 
 // PosLine formats the wire line for one observation.

@@ -1,75 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
-
-// lockcopy flags methods whose value receiver contains a sync lock
-// (sync.Mutex, RWMutex, WaitGroup, Once, Cond), directly or through nested
-// value fields, arrays, or embedding. Calling such a method copies the
-// lock, silently splitting the critical section — the classic cause of
-// "impossible" data races. Runs on every package: a copied lock is never
-// intentional here.
-func lockcopy(m *Module, p *Package, cfg *Config) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || len(fd.Recv.List) == 0 {
-				continue
-			}
-			recvType := p.Info.Types[fd.Recv.List[0].Type].Type
-			if recvType == nil {
-				continue
-			}
-			if _, isPtr := recvType.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			lock := findLock(recvType, make(map[types.Type]bool))
-			if lock == "" {
-				continue
-			}
-			file, line, col := m.position(fd.Name.Pos())
-			out = append(out, Diagnostic{
-				File: file, Line: line, Col: col,
-				Message: fmt.Sprintf("method %s has a value receiver of type %s which contains %s; each call copies the lock — use a pointer receiver", fd.Name.Name, types.TypeString(recvType, types.RelativeTo(p.Types)), lock),
-			})
-		}
-	}
-	return out
-}
-
-// findLock returns a description of the first sync lock reachable from t by
-// value, or "".
-func findLock(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name()
-			}
-		}
-		return findLock(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := findLock(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return findLock(u.Elem(), seen)
-	}
-	return ""
-}
 
 // goroleak flags go statements in the serving-layer packages
 // (Config.GoroutinePkgs) that have no visible cancellation or tracking
@@ -163,13 +97,13 @@ func hasCancellationPath(p *Package, body *ast.BlockStmt) bool {
 		case *ast.SelectorExpr:
 			if fn, ok := p.Info.Uses[n.Sel].(*types.Func); ok {
 				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					if findLock(derefType(sig.Recv().Type()), make(map[types.Type]bool)) == "sync.WaitGroup" {
+					if isNamed(sig.Recv().Type(), "sync", "WaitGroup") {
 						found = true
 					}
 				}
 			}
 		case *ast.Ident:
-			if obj := p.Info.Uses[n]; obj != nil && isContextType(obj.Type()) {
+			if obj := p.Info.Uses[n]; obj != nil && isNamed(obj.Type(), "context", "Context") {
 				found = true
 			}
 		}
@@ -178,18 +112,16 @@ func hasCancellationPath(p *Package, body *ast.BlockStmt) bool {
 	return found
 }
 
-func derefType(t types.Type) types.Type {
+// isNamed reports whether t, or the type t points to, is the named type
+// pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
-		return ptr.Elem()
+		t = ptr.Elem()
 	}
-	return t
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := derefType(t).(*types.Named)
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }

@@ -18,13 +18,10 @@ import (
 type Package struct {
 	// ImportPath is the full import path, e.g. "repro/internal/geo".
 	ImportPath string
-	// RelKey is the module-root-relative directory with forward slashes:
-	// "internal/geo", "cmd/trajlint", or "." for the root package.
-	RelKey string
-	// Key is the short layering key: RelKey without the "internal/"
-	// prefix for internal packages ("geo", "sed", ...), otherwise "".
+	// Key is the short layering key: the module-relative directory without
+	// the "internal/" prefix for internal packages ("geo", "sed", ...),
+	// otherwise "".
 	Key string
-	Dir string
 
 	Files []*ast.File
 	Types *types.Package
@@ -51,47 +48,24 @@ type Module struct {
 	byPath map[string]*Package
 	// allows maps "relfile:line" → set of analyzer names suppressed there
 	// by //lint:allow annotations.
-	allows map[string]map[string]string
-	// testFiles maps module-relative _test.go paths loaded by
-	// LoadWithTests.
+	allows map[string]map[string]bool
+	// testFiles holds the module-relative paths of the _test.go files.
 	testFiles map[string]bool
 	// augOf maps an import path to its augmented (base+in-package-test)
 	// package, so external foo_test packages type-check against the same
 	// view of foo that `go test` compiles them with (in-package test
 	// helpers like export_test.go definitions are visible to them).
 	augOf map[string]*Package
-	// df caches the concurrency-dataflow results (dataflow.go).
-	df *moduleFlow
 }
 
-// IsTestFile reports whether a module-relative path was loaded as a test
-// file.
-func (m *Module) IsTestFile(rel string) bool { return m.testFiles[rel] }
-
-// isTestPos reports whether pos lies in a loaded test file.
-func (m *Module) isTestPos(pos token.Pos) bool {
-	file, _, _ := m.position(pos)
-	return m.testFiles[file]
-}
-
-// Load parses and type-checks every non-test package under root, which must
-// contain a go.mod. Directories named testdata, vendor, or starting with
-// "." or "_" are skipped. Test files (_test.go) are not analyzed: tests
-// intentionally use exact float comparisons and ad-hoc goroutines.
+// Load parses and type-checks every package under root, which must contain
+// a go.mod, together with its _test.go files. Directories named testdata,
+// vendor, or starting with "." or "_" are skipped. Test files in package foo
+// join a separate "augmented" copy of package foo (the base package stays
+// test-free, so analysis of production code is unchanged); files in package
+// foo_test become their own package importing the checked base. Both are
+// marked TestOnly.
 func Load(root string) (*Module, error) {
-	return loadModule(root, false)
-}
-
-// LoadWithTests additionally parses and type-checks _test.go files. Files
-// in package foo join a separate "augmented" copy of package foo (the base
-// package stays test-free, so analysis of production code is unchanged);
-// files in package foo_test become their own package importing the checked
-// base. Both are marked TestOnly.
-func LoadWithTests(root string) (*Module, error) {
-	return loadModule(root, true)
-}
-
-func loadModule(root string, tests bool) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -105,11 +79,11 @@ func loadModule(root string, tests bool) (*Module, error) {
 		Path:      modPath,
 		Fset:      token.NewFileSet(),
 		byPath:    make(map[string]*Package),
-		allows:    make(map[string]map[string]string),
+		allows:    make(map[string]map[string]bool),
 		testFiles: make(map[string]bool),
 		augOf:     make(map[string]*Package),
 	}
-	if err := m.parseTree(tests); err != nil {
+	if err := m.parseTree(); err != nil {
 		return nil, err
 	}
 	if err := m.check(); err != nil {
@@ -139,7 +113,7 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module path in %s", gomod)
 }
 
-func (m *Module) parseTree(tests bool) error {
+func (m *Module) parseTree() error {
 	var dirs []string
 	err := filepath.WalkDir(m.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -162,14 +136,14 @@ func (m *Module) parseTree(tests bool) error {
 	}
 	sort.Strings(dirs)
 	for _, dir := range dirs {
-		if err := m.parseDir(dir, tests); err != nil {
+		if err := m.parseDir(dir); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *Module) parseDir(dir string, tests bool) error {
+func (m *Module) parseDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("lint: %w", err)
@@ -181,9 +155,6 @@ func (m *Module) parseDir(dir string, tests bool) error {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !tests {
-			continue
-		}
 		f, err := parser.ParseFile(m.Fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -217,9 +188,7 @@ func (m *Module) parseDir(dir string, tests bool) error {
 	if len(files) > 0 {
 		base = &Package{
 			ImportPath: importPath,
-			RelKey:     rel,
 			Key:        key,
-			Dir:        dir,
 			Files:      files,
 		}
 		m.Packages = append(m.Packages, base)
@@ -245,9 +214,7 @@ func (m *Module) parseDir(dir string, tests bool) error {
 		// package that itself imports the base.
 		aug := &Package{
 			ImportPath: importPath,
-			RelKey:     rel,
 			Key:        key,
-			Dir:        dir,
 			Files:      append(append([]*ast.File{}, files...), inPkg...),
 			TestOnly:   true,
 		}
@@ -257,9 +224,7 @@ func (m *Module) parseDir(dir string, tests bool) error {
 	if len(external) > 0 {
 		ext := &Package{
 			ImportPath: importPath + "_test",
-			RelKey:     rel,
 			Key:        key,
-			Dir:        dir,
 			Files:      external,
 			TestOnly:   true,
 		}
@@ -283,32 +248,27 @@ func (m *Module) scanAllows(f *ast.File) {
 			if len(fields) == 0 {
 				continue
 			}
-			analyzer := fields[0]
-			reason := strings.TrimSpace(strings.TrimPrefix(rest, analyzer))
 			pos := m.Fset.Position(c.Pos())
 			end := m.Fset.Position(cg.End())
-			m.addAllow(pos.Filename, pos.Line, analyzer, reason)
-			m.addAllow(pos.Filename, end.Line+1, analyzer, reason)
+			m.addAllow(pos.Filename, pos.Line, fields[0])
+			m.addAllow(pos.Filename, end.Line+1, fields[0])
 		}
 	}
 }
 
-func (m *Module) addAllow(file string, line int, analyzer, reason string) {
+func (m *Module) addAllow(file string, line int, analyzer string) {
 	key := m.relFile(file) + ":" + strconv.Itoa(line)
 	set := m.allows[key]
 	if set == nil {
-		set = make(map[string]string)
+		set = make(map[string]bool)
 		m.allows[key] = set
 	}
-	set[analyzer] = reason
+	set[analyzer] = true
 }
 
-// allowed reports whether an annotation suppresses analyzer at file:line,
-// along with the annotation's reason text.
-func (m *Module) allowed(file string, line int, analyzer string) (string, bool) {
-	set := m.allows[file+":"+strconv.Itoa(line)]
-	reason, ok := set[analyzer]
-	return reason, ok
+// allowed reports whether an annotation suppresses analyzer at file:line.
+func (m *Module) allowed(file string, line int, analyzer string) bool {
+	return m.allows[file+":"+strconv.Itoa(line)][analyzer]
 }
 
 func (m *Module) relFile(file string) string {

@@ -1,4 +1,4 @@
-// Package srv is a fixture serving layer with seeded concurrency and
+// Package srv is a fixture serving layer with seeded goroutine-lifetime and
 // layering violations, next to tracked-goroutine negatives.
 package srv
 
@@ -14,8 +14,8 @@ type Gauge struct {
 	v  float64
 }
 
-// Value reads the gauge — through a value receiver that copies mu.
-func (g Gauge) Value() float64 {
+// Value reads the gauge.
+func (g *Gauge) Value() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.v

@@ -109,6 +109,7 @@ type Hit struct {
 // lock, queries share the read lock and decode immutable blocks without
 // holding any per-block state.
 type Tier struct {
+	// Written once by NewTier, so read without mu.
 	eps      float64
 	blockPts int
 	ins      *instruments
@@ -298,7 +299,6 @@ func (t *Tier) candidates(rect geo.Rect, t0, t1 float64) map[string][]*Block {
 // block's recorded error bound expanding the rectangle so compression
 // introduces no false negatives against the original points.
 func (t *Tier) QueryIDs(rect geo.Rect, t0, t1 float64) []string {
-	//lint:allow mutexguard ins is write-once at construction; reading it unlocked is safe
 	defer t.ins.querySeconds["range"].ObserveSince(time.Now())
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -350,7 +350,6 @@ func blockIntersects(blk *Block, rect geo.Rect, t0, t1 float64) bool {
 // reported once; the chain's final sample is exact, so callers merging with
 // the hot tier can deduplicate the seal boundary by exact comparison.
 func (t *Tier) RangePoints(rect geo.Rect, t0, t1 float64) []Hit {
-	//lint:allow mutexguard ins is write-once at construction; reading it unlocked is safe
 	defer t.ins.querySeconds["points"].ObserveSince(time.Now())
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -396,7 +395,6 @@ func (t *Tier) RangePoints(rect geo.Rect, t0, t1 float64) []Hit {
 // true (the store passes the set already answered by the hot tier). Gaps
 // between non-contiguous seals yield no position, like an unknown object.
 func (t *Tier) PositionsAt(at float64, skip func(id string) bool, visit func(id string, pos geo.Point)) {
-	//lint:allow mutexguard ins is write-once at construction; reading it unlocked is safe
 	defer t.ins.querySeconds["nearest"].ObserveSince(time.Now())
 	t.mu.RLock()
 	defer t.mu.RUnlock()

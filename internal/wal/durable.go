@@ -344,7 +344,8 @@ func (d *DurableStore) Flush() error {
 	if d.poisoned != nil {
 		return d.poisoned
 	}
-	//lint:allow lockorder Flush is a stop-the-world durability barrier: holding d.mu across the fsync is the point
+	// A stop-the-world durability barrier: holding d.mu across the fsync is
+	// the point.
 	return d.log.Flush()
 }
 
@@ -362,17 +363,17 @@ func (d *DurableStore) LogSize() (int64, error) {
 // The in-memory store remains usable read-only afterwards. A poisoned store
 // skips sealing — the log's tail state is unknown — and reports the poison.
 func (d *DurableStore) Close() error {
+	// Shutdown only: d.mu stays held across the final seals, fsync and close,
+	// which excludes concurrent appends by design.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.poisoned != nil {
-		//lint:allow lockorder shutdown-only path: d.mu held across the final seal/close excludes concurrent appends by design
 		_ = d.log.Close() // best effort: the poison is the error worth reporting
 		return d.poisoned
 	}
 	if d.replica {
 		// A follower must not invent records the primary never logged;
 		// whatever sits in the replicated prefix is already durable.
-		//lint:allow lockorder shutdown-only path: d.mu held across the final seal/close excludes concurrent appends by design
 		return d.log.Close()
 	}
 	for _, id := range d.Store.IDs() {
@@ -384,15 +385,12 @@ func (d *DurableStore) Close() error {
 		if last.T <= d.lastLogged[id] {
 			continue
 		}
-		//lint:allow lockorder shutdown-only path: d.mu held across the final seal/close excludes concurrent appends by design
 		if err := d.log.Append(Record{ID: id, Sample: last}); err != nil {
-			//lint:allow lockorder shutdown-only path: d.mu held across the final seal/close excludes concurrent appends by design
 			_ = d.log.Close() // best effort: the append error is the one worth reporting
 			return err
 		}
 		d.lastLogged[id] = last.T
 	}
-	//lint:allow lockorder shutdown-only path: d.mu held across the final seal/close excludes concurrent appends by design
 	return d.log.Close()
 }
 
@@ -420,6 +418,8 @@ func (d *DurableStore) Close() error {
 // the sole durable copy of sealed history (the cold tier regenerates from
 // replay and must never become a durability dependency).
 func (d *DurableStore) Compact() error {
+	// Stop-the-world by design: d.mu is held for the whole crash-atomic
+	// rewrite, its fsyncs included.
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
@@ -434,7 +434,6 @@ func (d *DurableStore) Compact() error {
 	// Phase 1: build the replacement. The live log stays open and
 	// authoritative until phase 2 completes.
 	_ = d.fs.Remove(tmpPath) // a leftover from an earlier crash is garbage
-	//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 	tmp, err := openLog(d.fs, tmpPath, nil, d.ins)
 	if err != nil {
 		return err
@@ -444,9 +443,7 @@ func (d *DurableStore) Compact() error {
 	for _, id := range d.Store.IDs() {
 		ret, _ := d.Store.Retained(id)
 		for _, s := range ret {
-			//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 			if err := tmp.Append(Record{ID: id, Sample: s}); err != nil {
-				//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 				_ = tmp.Close()          // best effort: the append error is the one worth reporting
 				_ = d.fs.Remove(tmpPath) // the temp file is garbage either way
 				return err
@@ -456,7 +453,6 @@ func (d *DurableStore) Compact() error {
 			newLast[id] = ret[ret.Len()-1].T
 		}
 	}
-	//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 	if err := tmp.Close(); err != nil {
 		_ = d.fs.Remove(tmpPath) // the temp file is garbage either way
 		return err
@@ -469,7 +465,6 @@ func (d *DurableStore) Compact() error {
 	}
 
 	// Phase 3: commit.
-	//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 	closeErr := d.log.Close()
 	if err := d.fs.Rename(donePath, path); err != nil {
 		// Roll the marker back so the old log stays authoritative; leaving
@@ -485,7 +480,6 @@ func (d *DurableStore) Compact() error {
 			d.poisoned = fmt.Errorf("%w (compact aborted: %v; old log close: %v)", ErrPoisoned, err, closeErr)
 			return d.poisoned
 		}
-		//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 		reopened, oerr := openLog(d.fs, path, nil, d.ins)
 		if oerr != nil {
 			d.poisoned = fmt.Errorf("%w (compact aborted: %v; reopen: %v)", ErrPoisoned, err, oerr)
@@ -495,7 +489,6 @@ func (d *DurableStore) Compact() error {
 		d.log = reopened
 		return fmt.Errorf("wal: compact rename: %w", err)
 	}
-	//lint:allow lockorder compaction is stop-the-world by design: d.mu is held for the whole crash-atomic rewrite
 	reopened, err := openLog(d.fs, path, nil, d.ins)
 	if err != nil {
 		d.poisoned = fmt.Errorf("%w (reopen after compaction: %v)", ErrPoisoned, err)

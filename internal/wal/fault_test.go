@@ -386,7 +386,6 @@ func TestSyncEverySurvivesCompaction(t *testing.T) {
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	//lint:allow mutexguard single-threaded test peeking at the reopened log; no concurrent appender exists
 	if got := d.log.SyncEvery; got != 0 {
 		t.Errorf("SyncEvery after compaction = %d, want 0", got)
 	}

@@ -127,17 +127,23 @@ func TestGroupCommitCoalescesConcurrentAppends(t *testing.T) {
 }
 
 // waitForStaged polls until n records have been staged into the write
-// buffer (not necessarily synced).
+// buffer (not necessarily synced). It only tries the locks: a lock held
+// across the parked fsync counts as "not staged yet", so a leader that
+// keeps the log lock over its fsync fails here at the deadline instead of
+// hanging the package until the test binary times out.
 func waitForStaged(t *testing.T, d *DurableStore, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
+	var staged uint64
 	for {
-		d.mu.Lock()
-		l := d.log
-		d.mu.Unlock()
-		l.mu.Lock()
-		staged := l.writeSeq
-		l.mu.Unlock()
+		if d.mu.TryLock() {
+			l := d.log
+			d.mu.Unlock()
+			if l.mu.TryLock() {
+				staged = l.writeSeq
+				l.mu.Unlock()
+			}
+		}
 		if staged >= n {
 			return
 		}

@@ -5,12 +5,11 @@
 #   1. go build ./...          compile everything
 #   2. gofmt -l               formatting (fails on any unformatted file)
 #   3. go vet ./...            the stock vet suite
-#   4. trajlint -tests ./...   the repo-specific analyzers (internal/lint):
+#   4. trajlint ./...          the repo-specific analyzers (internal/lint):
 #                              layering, floatcmp, floatstep, nanguard,
-#                              errcheck, lockcopy, goroleak, mutexguard,
-#                              lockorder, atomicmix — with the concurrency
-#                              analyzers also covering _test.go files, plus
-#                              a staleness check over .trajlint.allow
+#                              errcheck, goroleak — goroleak also covering
+#                              _test.go files. Each guards a defect that
+#                              steps 3, 6 and 7 let through (DESIGN.md §6)
 #   5. go test ./...           tier-1 tests
 #   6. go test -race ./...     tier-2: same tests under the race detector
 #   7. torture.sh --smoke      crash-recovery: SIGKILL a WAL-backed
@@ -57,11 +56,8 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> trajlint -tests ./..."
-go run ./cmd/trajlint -tests ./...
-
-echo "==> trajlint -prune-allowlist"
-go run ./cmd/trajlint -tests -prune-allowlist
+echo "==> trajlint ./..."
+go run ./cmd/trajlint ./...
 
 echo "==> go test ./..."
 go test ./...
