@@ -26,6 +26,7 @@ package bus
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -469,7 +470,16 @@ func (sub *Subscriber) CompCount() int {
 // Policy reports the subscription's slow-consumer policy.
 func (sub *Subscriber) Policy() Policy { return sub.policy }
 
-// PosLine formats the wire line for one observation.
+// PosLine formats the wire line for one observation: "POS <id> <t> <x> <y>"
+// with the numbers as %g prints them, built in a stack buffer so the line
+// itself is the only allocation.
 func PosLine(id string, s trajectory.Sample) string {
-	return fmt.Sprintf("POS %s %g %g %g", id, s.T, s.X, s.Y)
+	var buf [96]byte
+	b := append(append(append(buf[:0], "POS "...), id...), ' ')
+	b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, s.X, 'g', -1, 64)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, s.Y, 'g', -1, 64)
+	return string(b)
 }

@@ -1,6 +1,9 @@
 package bus
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -332,4 +335,33 @@ func TestCloseAllDuringPublishRace(t *testing.T) {
 	}
 	b.CloseAll()
 	wg.Wait()
+}
+
+// TestPosLineMatchesSprintf is the golden test of the feed line: for seeded
+// floats and the %g boundaries (±0, 1e21, 1e-5, 5e-324, 1e6) PosLine is
+// byte-identical to the fmt.Sprintf it replaced.
+func TestPosLineMatchesSprintf(t *testing.T) {
+	vs := []float64{0, math.Copysign(0, -1), 1e21, -1e21, 1e20, 1e-5, 1e-4, 9.9999e-5, 5e-324, -5e-324,
+		1e6, 999999, 1e6 - 0.5, 1e6 + 0.5, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100_000; i++ {
+		switch i % 3 {
+		case 0:
+			vs = append(vs, math.Float64frombits(rng.Uint64()))
+		case 1:
+			vs = append(vs, math.Round(rng.NormFloat64()*1e6)/100)
+		default:
+			vs = append(vs, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
+		}
+	}
+	for i := 0; i+2 < len(vs); i++ {
+		s := trajectory.S(vs[i], vs[i+1], vs[i+2])
+		id := "v00042"
+		if i%7 == 0 {
+			id = strings.Repeat("long-id-", 20) // past the stack buffer
+		}
+		if got, want := PosLine(id, s), fmt.Sprintf("POS %s %g %g %g", id, s.T, s.X, s.Y); got != want {
+			t.Fatalf("PosLine = %q, fmt printed %q", got, want)
+		}
+	}
 }

@@ -436,6 +436,7 @@ func TestCIFuzzJobShape(t *testing.T) {
 		"FuzzDecodeFile":              "./internal/codec",
 		"FuzzDecodeCSV":               "./internal/codec",
 		"FuzzWALDecode":               "./internal/wal",
+		"FuzzCommandLine":             "./internal/server",
 	}
 	include := fuzz.Get("strategy").Get("matrix").Get("include")
 	if include == nil || include.Kind != SeqNode {

@@ -16,8 +16,9 @@ import (
 //     data is flushed at close), so it must be checked.
 //
 // Calls whose dropped error is conventionally meaningless are ignored:
-// fmt.Print*/Fprint* (callers check the underlying writer's Flush), and
-// methods on strings.Builder and bytes.Buffer (documented to never fail).
+// fmt.Print*/Fprint* and the Write* methods of bufio.Writer (its error
+// sticks, and callers check Flush, which is not exempt), and methods on
+// strings.Builder and bytes.Buffer (documented to never fail).
 func errcheck(m *Module, p *Package, cfg *Config) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
@@ -158,6 +159,8 @@ func droppedErrorOK(p *Package, call *ast.CallExpr) bool {
 				switch obj.Pkg().Path() + "." + obj.Name() {
 				case "strings.Builder", "bytes.Buffer":
 					return true
+				case "bufio.Writer":
+					return strings.HasPrefix(fn.Name(), "Write")
 				}
 			}
 		}

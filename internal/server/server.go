@@ -116,7 +116,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -140,7 +139,9 @@ type Backend interface {
 	Append(id string, s trajectory.Sample) error
 	// AppendBatch ingests samples for one object in one store round trip.
 	// On error the first `applied` samples were ingested (an intact
-	// prefix) and the rest were not.
+	// prefix) and the rest were not. ss belongs to the caller: the server
+	// reuses it for the connection's next batch, so an implementation must
+	// not retain it after returning.
 	AppendBatch(id string, ss []trajectory.Sample) (applied int, err error)
 	Snapshot(id string) (trajectory.Trajectory, bool)
 	PositionAt(id string, t float64) (geo.Point, bool)
@@ -376,48 +377,53 @@ func (s *Server) Close() error {
 	return err
 }
 
-// maxLineLen bounds a single protocol line, matching the Scanner buffer cap
-// this reader replaced: a client cannot make the server buffer unbounded
-// garbage.
-const maxLineLen = 1 << 20
+// session is one connection's protocol state: its reader and writer, and
+// the buffers every command on it reuses, so steady-state ingest allocates
+// nothing per point.
+type session struct {
+	br *bufio.Reader
+	w  *bufio.Writer
 
-var errLineTooLong = errors.New("server: line exceeds 1 MiB")
+	// fields is the current line split by splitFields: subslices of br's
+	// buffer, valid until the next read.
+	fields   [][]byte
+	fieldBuf [maxFields][]byte
 
-// readCommandLine reads one newline-terminated line with the trailing
-// newline (and any \r) stripped, enforcing maxLineLen. A final unterminated
-// line before EOF is returned as-is, Scanner-style.
-func readCommandLine(br *bufio.Reader) (string, error) {
-	var long []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		switch {
-		case err == nil:
-			if long == nil {
-				return strings.TrimRight(string(frag), "\r\n"), nil
-			}
-			long = append(long, frag...)
-			return strings.TrimRight(string(long), "\r\n"), nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			long = append(long, frag...)
-			if len(long) > maxLineLen {
-				return "", errLineTooLong
-			}
-		default:
-			if len(long)+len(frag) > 0 && errors.Is(err, io.EOF) {
-				return string(append(long, frag...)), nil
-			}
-			return "", err
-		}
+	// samples is the MAPPEND batch, reused by every batch on the
+	// connection; maxBatchAppend bounds it at 240 KB.
+	samples []trajectory.Sample
+	out     []byte // the reply line being formatted
+}
+
+// next reads the next line and splits it into c.fields.
+func (c *session) next() error {
+	line, err := readCommandLine(c.br)
+	if err != nil {
+		return err
 	}
+	c.fields = splitFields(c.fieldBuf[:0], line)
+	return nil
+}
+
+// writeRow writes one reply line: head, the start of the line built in
+// c.out, then vs as %g prints them, space-separated.
+func (c *session) writeRow(head []byte, vs ...float64) {
+	for i, v := range vs {
+		if i > 0 {
+			head = append(head, ' ')
+		}
+		head = strconv.AppendFloat(head, v, 'g', -1, 64)
+	}
+	c.out = append(head, '\n')
+	c.w.Write(c.out)
 }
 
 func (s *Server) handle(conn net.Conn) {
 	s.ins.connsTotal.Inc()
 	s.ins.connsActive.Inc()
 	defer s.ins.connsActive.Dec()
-	br := bufio.NewReaderSize(conn, 4096)
 	dw := &deadlineWriter{conn: conn, timeout: s.WriteTimeout}
-	w := bufio.NewWriter(dw)
+	c := &session{br: bufio.NewReaderSize(conn, 4096), w: bufio.NewWriter(dw)}
 	for {
 		s.mu.Lock()
 		draining := s.closed
@@ -432,34 +438,32 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		}
-		line, err := readCommandLine(br)
-		if err != nil {
+		if c.next() != nil {
 			return
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		if len(c.fields) == 0 {
 			continue
 		}
-		quit, sub, rr := s.dispatch(w, br, line)
+		quit, sub, rr := s.dispatch(c)
 		if rr != nil {
 			// The connection leaves the command protocol and becomes a
 			// replication stream until it breaks; ServeFollower flushes any
 			// responses still buffered from a pipelined batch first, and
 			// arms its own per-frame write deadlines from here on.
 			dw.timeout = 0
-			_ = s.Repl.ServeFollower(conn, br, w, rr.offset, rr.seq)
+			_ = s.Repl.ServeFollower(conn, c.br, c.w, rr.offset, rr.seq)
 			return
 		}
 		// Pipelining fast path: while more input is already buffered, defer
 		// the flush — the whole pipelined batch answers in one syscall.
-		if br.Buffered() > 0 && !quit && sub == nil {
+		if c.br.Buffered() > 0 && !quit && sub == nil {
 			continue
 		}
-		if w.Flush() != nil || quit {
+		if c.w.Flush() != nil || quit {
 			return
 		}
 		if sub != nil {
-			s.stream(conn, w, sub)
+			s.stream(conn, c.w, sub)
 			return
 		}
 	}
@@ -591,14 +595,14 @@ type ackedBackend interface {
 	AckedOffset() int64
 }
 
-// dispatch executes one command line; it reports whether the connection
-// should close, a non-nil subscriber when the connection switches to
-// streaming mode, and a non-nil replRequest when it switches to a
-// replication stream. MAPPEND additionally reads its data lines from br.
-func (s *Server) dispatch(w *bufio.Writer, br *bufio.Reader, line string) (quit bool, sub *bus.Subscriber, rr *replRequest) {
-	fields := strings.Fields(line)
-	cmd := strings.ToUpper(fields[0])
-	args := fields[1:]
+// dispatch executes the command in c.fields; it reports whether the
+// connection should close, a non-nil subscriber when the connection switches
+// to streaming mode, and a non-nil replRequest when it switches to a
+// replication stream. MAPPEND additionally reads its data lines from c.br.
+func (s *Server) dispatch(c *session) (quit bool, sub *bus.Subscriber, rr *replRequest) {
+	cmd := commandName(c.fields[0])
+	args := c.fields[1:]
+	w := c.w
 
 	count, seconds := s.ins.command(cmd)
 	count.Inc()
@@ -606,16 +610,16 @@ func (s *Server) dispatch(w *bufio.Writer, br *bufio.Reader, line string) (quit 
 
 	switch cmd {
 	case "PING":
-		fmt.Fprintln(w, "OK pong")
+		w.WriteString("OK pong\n")
 	case "QUIT":
-		fmt.Fprintln(w, "OK bye")
+		w.WriteString("OK bye\n")
 		return true, nil, nil
 	case "SUBSCRIBE":
 		return false, s.cmdSubscribe(w, args), nil
 	case "APPEND":
-		s.cmdAppend(w, args)
+		s.cmdAppend(c, args)
 	case "MAPPEND":
-		if err := s.cmdBatchAppend(w, br, args); err != nil {
+		if err := s.cmdBatchAppend(c, args); err != nil {
 			return true, nil, nil // torn mid-batch: no way back to command framing
 		}
 	case "REPLICATE":
@@ -623,78 +627,90 @@ func (s *Server) dispatch(w *bufio.Writer, br *bufio.Reader, line string) (quit 
 	case "PROMOTE":
 		s.cmdPromote(w)
 	case "POSITION":
-		s.cmdPosition(w, args)
+		s.cmdPosition(c, args)
 	case "SNAPSHOT":
-		s.cmdSnapshot(w, args)
+		s.cmdSnapshot(c, args)
 	case "QUERY":
-		s.cmdQuery(w, args)
+		if rect, v, ok := queryWindow(w, args, 6, "ERR usage: QUERY <minx> <miny> <maxx> <maxy> <t0> <t1>\n"); ok {
+			writeIDs(w, s.st.Query(rect, v[4], v[5]))
+		}
 	case "QUERYTOL":
-		s.cmdQueryTol(w, args)
+		if rect, v, ok := queryWindow(w, args, 7, "ERR usage: QUERYTOL <minx> <miny> <maxx> <maxy> <t0> <t1> <eps>\n"); ok {
+			writeIDs(w, s.st.QueryWithTolerance(rect, v[4], v[5], v[6]))
+		}
 	case "QUERYRANGE":
-		s.cmdQueryRange(w, args)
+		s.cmdQueryRange(c, args)
 	case "NEAREST":
-		s.cmdNearest(w, args)
+		s.cmdNearest(c, args)
 	case "SEAL":
 		s.cmdSeal(w, args)
 	case "EVICT":
 		s.cmdEvict(w, args)
 	case "IDS":
-		for _, id := range s.st.IDs() {
-			fmt.Fprintln(w, id)
-		}
-		fmt.Fprintln(w, "END")
+		writeIDs(w, s.st.IDs())
 	case "STATS":
 		s.cmdStats(w)
 	case "METRICS":
 		metrics.WritePrometheus(w, s.ins.registry.Snapshot())
-		fmt.Fprintln(w, "END")
+		w.WriteString("END\n")
 	default:
 		fmt.Fprintf(w, "ERR unknown command %q\n", cmd)
 	}
 	return false, nil, nil
 }
 
-const subscribeUsage = "ERR usage: SUBSCRIBE <id|*> [spec] [policy] | SUBSCRIBE BOX <minx> <miny> <maxx> <maxy> [spec] [policy]"
+// writeIDs writes one line per id, then END.
+func writeIDs(w *bufio.Writer, ids []string) {
+	for _, id := range ids {
+		w.WriteString(id)
+		w.WriteByte('\n')
+	}
+	w.WriteString("END\n")
+}
+
+const subscribeUsage = "ERR usage: SUBSCRIBE <id|*> [spec] [policy] | SUBSCRIBE BOX <minx> <miny> <maxx> <maxy> [spec] [policy]\n"
 
 // cmdSubscribe parses both SUBSCRIBE forms and registers the feed on the
 // fan-out bus (nil return: an error was written). The tail arguments — at
 // most one compression spec and one slow-consumer policy — may appear in
 // either order: policy names never collide with compress.Parse's spec
 // grammar.
-func (s *Server) cmdSubscribe(w *bufio.Writer, args []string) *bus.Subscriber {
+func (s *Server) cmdSubscribe(w *bufio.Writer, args [][]byte) *bus.Subscriber {
 	if len(args) < 1 {
-		fmt.Fprintln(w, subscribeUsage)
+		w.WriteString(subscribeUsage)
 		return nil
 	}
-	opts := bus.SubOptions{ID: args[0], Capacity: s.SubBuf}
+	opts := bus.SubOptions{ID: string(args[0]), Capacity: s.SubBuf}
 	tail := args[1:]
-	if strings.ToUpper(args[0]) == "BOX" {
+	if strings.ToUpper(opts.ID) == "BOX" {
 		if len(args) < 5 {
-			fmt.Fprintln(w, subscribeUsage)
+			w.WriteString(subscribeUsage)
 			return nil
 		}
-		v, err := parseFloats(args[1:5])
+		var buf [4]float64
+		v, err := parseFloats(buf[:0], args[1:5])
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 			return nil
 		}
 		rect := geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}
 		if rect.IsEmpty() {
-			fmt.Fprintln(w, "ERR empty geofence box")
+			w.WriteString("ERR empty geofence box\n")
 			return nil
 		}
 		opts.Box = &rect
 		tail = args[5:]
 	}
 	var havePolicy, haveSpec bool
-	for _, arg := range tail {
+	for _, field := range tail {
+		arg := string(field)
 		if p, ok := bus.ParsePolicy(arg); ok && !havePolicy {
 			opts.Policy = p
 			havePolicy = true
 			continue
 		}
 		if haveSpec {
-			fmt.Fprintln(w, subscribeUsage)
+			w.WriteString(subscribeUsage)
 			return nil
 		}
 		factory, err := stream.ParseFactory(arg)
@@ -706,31 +722,31 @@ func (s *Server) cmdSubscribe(w *bufio.Writer, args []string) *bus.Subscriber {
 		haveSpec = true
 	}
 	sub := s.bus.Subscribe(opts)
-	fmt.Fprintln(w, "OK subscribed")
+	w.WriteString("OK subscribed\n")
 	return sub
 }
 
 // cmdReplicate validates REPLICATE <offset> [seq] and hands the stream
 // request back to the handler loop (nil return: an error was written).
-func (s *Server) cmdReplicate(w *bufio.Writer, args []string) *replRequest {
+func (s *Server) cmdReplicate(w *bufio.Writer, args [][]byte) *replRequest {
 	if s.Repl == nil {
-		fmt.Fprintln(w, "ERR replication not available (this server runs without a WAL)")
+		w.WriteString("ERR replication not available (this server runs without a WAL)\n")
 		return nil
 	}
 	if len(args) < 1 || len(args) > 2 {
-		fmt.Fprintln(w, "ERR usage: REPLICATE <offset> [seq]")
+		w.WriteString("ERR usage: REPLICATE <offset> [seq]\n")
 		return nil
 	}
-	offset, err := strconv.ParseInt(args[0], 10, 64)
+	offset, err := strconv.ParseInt(string(args[0]), 10, 64)
 	if err != nil || offset < 0 {
-		fmt.Fprintln(w, "ERR offset must be a non-negative integer")
+		w.WriteString("ERR offset must be a non-negative integer\n")
 		return nil
 	}
 	var seq uint64
 	if len(args) == 2 {
-		seq, err = strconv.ParseUint(args[1], 10, 64)
+		seq, err = strconv.ParseUint(string(args[1]), 10, 64)
 		if err != nil {
-			fmt.Fprintln(w, "ERR seq must be a non-negative integer")
+			w.WriteString("ERR seq must be a non-negative integer\n")
 			return nil
 		}
 	}
@@ -744,52 +760,40 @@ func (s *Server) cmdPromote(w *bufio.Writer) {
 	if s.Follower != nil {
 		s.Follower.Promote()
 	}
-	fmt.Fprintln(w, "OK role=primary")
+	w.WriteString("OK role=primary\n")
 }
 
-func parseFloats(args []string) ([]float64, error) {
-	out := make([]float64, len(args))
-	for i, a := range args {
-		v, err := strconv.ParseFloat(a, 64)
-		if err != nil {
-			return nil, fmt.Errorf("argument %d: %v", i+1, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func (s *Server) cmdAppend(w *bufio.Writer, args []string) {
+func (s *Server) cmdAppend(c *session, args [][]byte) {
 	if s.readonly() {
-		fmt.Fprintln(w, errReadonly)
+		c.w.WriteString(errReadonly + "\n")
 		return
 	}
 	if len(args) != 4 {
-		fmt.Fprintln(w, "ERR usage: APPEND <id> <t> <x> <y>")
+		c.w.WriteString("ERR usage: APPEND <id> <t> <x> <y>\n")
 		return
 	}
-	v, err := parseFloats(args[1:])
+	smp, err := parseSample(args[1:])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		fmt.Fprintf(c.w, "ERR %v\n", err)
 		return
 	}
-	smp := trajectory.S(v[0], v[1], v[2])
-	if err := s.st.Append(args[0], smp); err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+	id := string(args[0])
+	if err := s.st.Append(id, smp); err != nil {
+		fmt.Fprintf(c.w, "ERR %v\n", err)
 		return
 	}
-	s.publish(args[0], smp)
+	s.publish(id, smp)
 	// Follower-ack mode: the record is locally durable, but the OK must
 	// additionally mean a follower fsynced it. A wait failure is reported as
 	// ERR — the client must treat the append as unconfirmed, exactly like a
 	// connection cut after send.
 	if s.Repl != nil {
 		if err := s.Repl.WaitReplicated(); err != nil {
-			fmt.Fprintf(w, "ERR repl: %v\n", err)
+			fmt.Fprintf(c.w, "ERR repl: %v\n", err)
 			return
 		}
 	}
-	fmt.Fprintln(w, "OK")
+	c.w.WriteString("OK\n")
 }
 
 // maxBatchAppend caps MAPPEND batch sizes; a batch is buffered in memory
@@ -801,194 +805,180 @@ const maxBatchAppend = 10000
 // lines are consumed even when one is malformed, so the connection never
 // desynchronizes into interpreting samples as commands. A returned error
 // means the data lines could not be read and the connection must close.
-func (s *Server) cmdBatchAppend(w *bufio.Writer, br *bufio.Reader, args []string) error {
+func (s *Server) cmdBatchAppend(c *session, args [][]byte) error {
 	if len(args) != 2 {
-		fmt.Fprintln(w, "ERR usage: MAPPEND <id> <n>")
+		c.w.WriteString("ERR usage: MAPPEND <id> <n>\n")
 		return nil
 	}
-	n, err := strconv.Atoi(args[1])
+	n, err := strconv.Atoi(string(args[1]))
 	if err != nil || n <= 0 || n > maxBatchAppend {
-		fmt.Fprintf(w, "ERR batch size must be 1..%d\n", maxBatchAppend)
+		fmt.Fprintf(c.w, "ERR batch size must be 1..%d\n", maxBatchAppend)
 		return nil
 	}
-	samples := make([]trajectory.Sample, 0, n)
-	var badLine error
-	for i := 0; i < n; i++ {
-		line, err := readCommandLine(br)
-		if err != nil {
+	id := string(args[0]) // before the data lines overwrite the reader's buffer
+	c.samples = c.samples[:0]
+	bad := 0 // the first malformed data line, 1-based
+	for i := 1; i <= n; i++ {
+		if err := c.next(); err != nil {
 			return err
 		}
-		v, perr := parseFloats(strings.Fields(strings.TrimSpace(line)))
-		if perr != nil || len(v) != 3 {
-			if badLine == nil {
-				badLine = fmt.Errorf("batch sample %d: want <t> <x> <y>", i+1)
-			}
+		if bad > 0 {
 			continue
 		}
-		samples = append(samples, trajectory.S(v[0], v[1], v[2]))
+		if len(c.fields) != 3 {
+			bad = i
+			continue
+		}
+		smp, err := parseSample(c.fields)
+		if err != nil {
+			bad = i
+			continue
+		}
+		c.samples = append(c.samples, smp)
 	}
-	if badLine != nil {
-		fmt.Fprintf(w, "ERR %v\n", badLine)
+	if bad > 0 {
+		fmt.Fprintf(c.w, "ERR batch sample %d: want <t> <x> <y>\n", bad)
 		return nil
 	}
 	// The readonly refusal comes only after every data line is consumed, so
 	// the connection stays in command framing.
 	if s.readonly() {
-		fmt.Fprintln(w, errReadonly)
+		c.w.WriteString(errReadonly + "\n")
 		return nil
 	}
 	s.ins.batchAppends.Inc()
-	s.ins.batchSize.Observe(float64(len(samples)))
-	applied, err := s.st.AppendBatch(args[0], samples)
-	for _, smp := range samples[:applied] {
-		s.publish(args[0], smp)
+	s.ins.batchSize.Observe(float64(len(c.samples)))
+	applied, err := s.st.AppendBatch(id, c.samples)
+	for _, smp := range c.samples[:applied] {
+		s.publish(id, smp)
 	}
 	if err != nil {
-		fmt.Fprintf(w, "ERR applied=%d: %v\n", applied, err)
+		fmt.Fprintf(c.w, "ERR applied=%d: %v\n", applied, err)
 		return nil
 	}
 	if s.Repl != nil {
 		if err := s.Repl.WaitReplicated(); err != nil {
 			// The batch is applied and locally durable but its replication
 			// is unconfirmed; applied= lets the client keep exact cursors.
-			fmt.Fprintf(w, "ERR applied=%d: repl: %v\n", applied, err)
+			fmt.Fprintf(c.w, "ERR applied=%d: repl: %v\n", applied, err)
 			return nil
 		}
 	}
-	fmt.Fprintf(w, "OK appended=%d\n", applied)
+	c.out = append(strconv.AppendInt(append(c.out[:0], "OK appended="...), int64(applied), 10), '\n')
+	c.w.Write(c.out)
 	return nil
 }
 
-func (s *Server) cmdPosition(w *bufio.Writer, args []string) {
+func (s *Server) cmdPosition(c *session, args [][]byte) {
 	if len(args) != 2 {
-		fmt.Fprintln(w, "ERR usage: POSITION <id> <t>")
+		c.w.WriteString("ERR usage: POSITION <id> <t>\n")
 		return
 	}
-	t, err := strconv.ParseFloat(args[1], 64)
+	t, err := parseFloat(args[1])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		fmt.Fprintf(c.w, "ERR %v\n", err)
 		return
 	}
-	pos, ok := s.st.PositionAt(args[0], t)
+	pos, ok := s.st.PositionAt(string(args[0]), t)
 	if !ok {
-		fmt.Fprintln(w, "ERR no position (unknown object or time outside span)")
+		c.w.WriteString("ERR no position (unknown object or time outside span)\n")
 		return
 	}
-	fmt.Fprintf(w, "OK %g %g\n", pos.X, pos.Y)
+	c.writeRow(append(c.out[:0], "OK "...), pos.X, pos.Y)
 }
 
-func (s *Server) cmdSnapshot(w *bufio.Writer, args []string) {
+func (s *Server) cmdSnapshot(c *session, args [][]byte) {
 	if len(args) != 1 {
-		fmt.Fprintln(w, "ERR usage: SNAPSHOT <id>")
+		c.w.WriteString("ERR usage: SNAPSHOT <id>\n")
 		return
 	}
-	snap, ok := s.st.Snapshot(args[0])
+	id := string(args[0])
+	snap, ok := s.st.Snapshot(id)
 	if !ok {
-		fmt.Fprintf(w, "ERR unknown object %q\n", args[0])
+		fmt.Fprintf(c.w, "ERR unknown object %q\n", id)
 		return
 	}
 	for _, p := range snap {
-		fmt.Fprintf(w, "%g %g %g\n", p.T, p.X, p.Y)
+		c.writeRow(c.out[:0], p.T, p.X, p.Y)
 	}
-	fmt.Fprintln(w, "END")
+	c.w.WriteString("END\n")
 }
 
-func (s *Server) cmdQuery(w *bufio.Writer, args []string) {
-	if len(args) != 6 {
-		fmt.Fprintln(w, "ERR usage: QUERY <minx> <miny> <maxx> <maxy> <t0> <t1>")
-		return
+// queryWindow parses the want numeric arguments of a window query — the
+// rectangle, then t0 and t1, then any extra — writing usage or an error and
+// reporting false when they do not form a non-empty window.
+func queryWindow(w *bufio.Writer, args [][]byte, want int, usage string) (rect geo.Rect, v [7]float64, ok bool) {
+	if len(args) != want {
+		w.WriteString(usage)
+		return rect, v, false
 	}
-	v, err := parseFloats(args)
-	if err != nil {
+	if _, err := parseFloats(v[:0], args); err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
-		return
+		return rect, v, false
 	}
-	rect := geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}
+	rect = geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}
 	if rect.IsEmpty() || v[5] < v[4] {
-		fmt.Fprintln(w, "ERR empty query window")
-		return
+		w.WriteString("ERR empty query window\n")
+		return rect, v, false
 	}
-	for _, id := range s.st.Query(rect, v[4], v[5]) {
-		fmt.Fprintln(w, id)
-	}
-	fmt.Fprintln(w, "END")
+	return rect, v, true
 }
 
-func (s *Server) cmdQueryTol(w *bufio.Writer, args []string) {
-	if len(args) != 7 {
-		fmt.Fprintln(w, "ERR usage: QUERYTOL <minx> <miny> <maxx> <maxy> <t0> <t1> <eps>")
-		return
-	}
-	v, err := parseFloats(args)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	rect := geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}
-	if rect.IsEmpty() || v[5] < v[4] {
-		fmt.Fprintln(w, "ERR empty query window")
-		return
-	}
-	for _, id := range s.st.QueryWithTolerance(rect, v[4], v[5], v[6]) {
-		fmt.Fprintln(w, id)
-	}
-	fmt.Fprintln(w, "END")
-}
-
-func (s *Server) cmdQueryRange(w *bufio.Writer, args []string) {
-	if len(args) != 6 {
-		fmt.Fprintln(w, "ERR usage: QUERYRANGE <minx> <miny> <maxx> <maxy> <t0> <t1>")
-		return
-	}
-	v, err := parseFloats(args)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	rect := geo.Rect{Min: geo.Pt(v[0], v[1]), Max: geo.Pt(v[2], v[3])}
-	if rect.IsEmpty() || v[5] < v[4] {
-		fmt.Fprintln(w, "ERR empty query window")
+func (s *Server) cmdQueryRange(c *session, args [][]byte) {
+	rect, v, ok := queryWindow(c.w, args, 6, "ERR usage: QUERYRANGE <minx> <miny> <maxx> <maxy> <t0> <t1>\n")
+	if !ok {
 		return
 	}
 	for _, p := range s.st.RangePoints(rect, v[4], v[5]) {
-		fmt.Fprintf(w, "%s %g %g %g\n", p.ID, p.S.T, p.S.X, p.S.Y)
+		c.writeRow(append(append(c.out[:0], p.ID...), ' '), p.S.T, p.S.X, p.S.Y)
 	}
-	fmt.Fprintln(w, "END")
+	c.w.WriteString("END\n")
 }
 
-func (s *Server) cmdNearest(w *bufio.Writer, args []string) {
+func (s *Server) cmdNearest(c *session, args [][]byte) {
 	if len(args) != 4 {
-		fmt.Fprintln(w, "ERR usage: NEAREST <x> <y> <t> <k>")
+		c.w.WriteString("ERR usage: NEAREST <x> <y> <t> <k>\n")
 		return
 	}
-	v, err := parseFloats(args[:3])
+	var buf [3]float64
+	v, err := parseFloats(buf[:0], args[:3])
 	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+		fmt.Fprintf(c.w, "ERR %v\n", err)
 		return
 	}
-	k, err := strconv.Atoi(args[3])
+	k, err := strconv.Atoi(string(args[3]))
 	if err != nil || k <= 0 {
-		fmt.Fprintln(w, "ERR k must be a positive integer")
+		c.w.WriteString("ERR k must be a positive integer\n")
 		return
 	}
 	for _, nb := range s.st.Nearest(geo.Pt(v[0], v[1]), v[2], k) {
-		fmt.Fprintf(w, "%s %g %g %g\n", nb.ID, nb.Pos.X, nb.Pos.Y, nb.Dist)
+		c.writeRow(append(append(c.out[:0], nb.ID...), ' '), nb.Pos.X, nb.Pos.Y, nb.Dist)
 	}
-	fmt.Fprintln(w, "END")
+	c.w.WriteString("END\n")
 }
 
-func (s *Server) cmdSeal(w *bufio.Writer, args []string) {
-	if s.readonly() {
-		fmt.Fprintln(w, errReadonly)
-		return
-	}
+// cutTime parses the single <t> argument of SEAL and EVICT, writing usage
+// or the parse error and reporting false when there is none.
+func cutTime(w *bufio.Writer, args [][]byte, usage string) (float64, bool) {
 	if len(args) != 1 {
-		fmt.Fprintln(w, "ERR usage: SEAL <t>")
-		return
+		w.WriteString(usage)
+		return 0, false
 	}
-	t, err := strconv.ParseFloat(args[0], 64)
+	t, err := parseFloat(args[0])
 	if err != nil {
 		fmt.Fprintf(w, "ERR %v\n", err)
+		return 0, false
+	}
+	return t, true
+}
+
+func (s *Server) cmdSeal(w *bufio.Writer, args [][]byte) {
+	if s.readonly() {
+		w.WriteString(errReadonly + "\n")
+		return
+	}
+	t, ok := cutTime(w, args, "ERR usage: SEAL <t>\n")
+	if !ok {
 		return
 	}
 	n, err := s.st.SealBefore(t)
@@ -1025,21 +1015,16 @@ func (s *Server) cmdStats(w *bufio.Writer) {
 	for _, id := range ids {
 		fmt.Fprintf(w, "obj %s points=%d\n", id, st.PointsPerObject[id])
 	}
-	fmt.Fprintln(w, "END")
+	w.WriteString("END\n")
 }
 
-func (s *Server) cmdEvict(w *bufio.Writer, args []string) {
+func (s *Server) cmdEvict(w *bufio.Writer, args [][]byte) {
 	if s.readonly() {
-		fmt.Fprintln(w, errReadonly)
+		w.WriteString(errReadonly + "\n")
 		return
 	}
-	if len(args) != 1 {
-		fmt.Fprintln(w, "ERR usage: EVICT <t>")
-		return
-	}
-	t, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
+	t, ok := cutTime(w, args, "ERR usage: EVICT <t>\n")
+	if !ok {
 		return
 	}
 	n := s.st.EvictBefore(t)

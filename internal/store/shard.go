@@ -15,6 +15,13 @@ type shard struct {
 	index   spatialIndex
 	rawPts  int
 	idxSegs int // segments currently in this shard's index
+	pending pendingDeltas
+}
+
+// pendingDeltas are instrument updates accumulated under a shard's lock and
+// published once per locked section (Store.publishLocked).
+type pendingDeltas struct {
+	appends, retained, segments int
 }
 
 // fnv1a is the 32-bit FNV-1a hash of id, computed inline so shard selection

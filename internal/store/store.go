@@ -201,71 +201,88 @@ func (st *Store) AppendObserved(id string, s trajectory.Sample) ([]trajectory.Sa
 	sh := st.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return st.appendLocked(sh, id, s)
+	defer st.publishLocked(sh)
+	_, retained, err := st.appendLocked(sh, nil, id, s)
+	return retained, err
 }
 
 // AppendBatch ingests a batch of observations for one object, taking the
 // object's shard lock once instead of once per sample — the store half of
 // the MAPPEND fast path. Samples must be strictly increasing in time and
 // follow any earlier observation. On error the first `applied` samples were
-// ingested and the rest were not: an intact prefix, never a gap.
+// ingested and the rest were not: an intact prefix, never a gap. ss is only
+// read: the store keeps copies of the samples, never the slice.
 func (st *Store) AppendBatch(id string, ss []trajectory.Sample) (int, error) {
-	applied, _, err := st.AppendBatchObserved(id, ss)
-	return applied, err
+	return st.appendBatch(id, ss, nil)
 }
 
 // AppendBatchObserved is AppendBatch, additionally returning the samples
 // whose retention became definite, in emission order — the write-ahead
 // logging hook, exactly as in AppendObserved.
 func (st *Store) AppendBatchObserved(id string, ss []trajectory.Sample) (int, []trajectory.Sample, error) {
+	var retained []trajectory.Sample
+	applied, err := st.appendBatch(id, ss, &retained)
+	return applied, retained, err
+}
+
+// appendBatch is the batch ingest body: one shard lock, one object lookup
+// and one instrument update for the whole batch. The samples whose retention
+// became definite are appended to *retained unless it is nil.
+func (st *Store) appendBatch(id string, ss []trajectory.Sample, retained *[]trajectory.Sample) (int, error) {
 	if len(ss) == 0 {
-		return 0, nil, nil
+		return 0, nil
 	}
 	sh := st.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var retained []trajectory.Sample
+	defer st.publishLocked(sh)
+	var obj *object
 	for k, s := range ss {
-		emitted, err := st.appendLocked(sh, id, s)
-		if err != nil {
-			return k, retained, err
+		var emitted []trajectory.Sample
+		var err error
+		if obj, emitted, err = st.appendLocked(sh, obj, id, s); err != nil {
+			return k, err
 		}
-		retained = append(retained, emitted...)
+		if retained != nil {
+			*retained = append(*retained, emitted...)
+		}
 	}
-	return len(ss), retained, nil
+	return len(ss), nil
 }
 
 // appendLocked is the single-observation ingest body; the shard lock must
-// be held. Validation happens before any state change, so a rejected sample
-// leaves the object exactly as it was.
-func (st *Store) appendLocked(sh *shard, id string, s trajectory.Sample) ([]trajectory.Sample, error) {
+// be held. obj is the object when the caller already looked it up, nil
+// otherwise; the object is returned for the caller's next sample, with the
+// samples whose retention became definite. In a raw store that is s itself,
+// returned as a capped view of the object's trajectory: retained samples are
+// only ever appended to or replaced wholesale by eviction, never overwritten
+// in place, so the view stays valid after the lock is released.
+// Validation happens before any state change, so a rejected sample leaves
+// the object exactly as it was, and an object is created only for a sample
+// that passed the finiteness check.
+func (st *Store) appendLocked(sh *shard, obj *object, id string, s trajectory.Sample) (*object, []trajectory.Sample, error) {
 	if !s.IsFinite() {
 		st.ins.appendErrors.Inc()
-		return nil, fmt.Errorf("store: object %q: %w", id, trajectory.ErrNotFinite)
+		return obj, nil, fmt.Errorf("store: object %q: %w", id, trajectory.ErrNotFinite)
 	}
-	obj := sh.objects[id]
 	if obj == nil {
-		obj = &object{}
-		if st.opts.NewCompressor != nil {
-			obj.comp = st.opts.NewCompressor()
-		}
-		sh.objects[id] = obj
-		st.ins.objects.Inc()
+		obj = st.objectLocked(sh, id)
 	}
 	if obj.rawSeen > 0 && s.T <= obj.lastRaw.T {
 		st.ins.appendErrors.Inc()
-		return nil, fmt.Errorf("store: object %q: %w: t=%v after t=%v", id, trajectory.ErrUnsorted, s.T, obj.lastRaw.T)
+		return obj, nil, fmt.Errorf("store: object %q: %w: t=%v after t=%v", id, trajectory.ErrUnsorted, s.T, obj.lastRaw.T)
 	}
 
 	var retained []trajectory.Sample
 	if obj.comp == nil {
 		st.retain(sh, id, obj, s)
-		retained = []trajectory.Sample{s}
+		n := obj.retained.Len()
+		retained = obj.retained[n-1 : n : n]
 	} else {
 		emitted, err := obj.comp.Push(s)
 		if err != nil {
 			st.ins.appendErrors.Inc()
-			return nil, fmt.Errorf("store: object %q: %w", id, err)
+			return obj, nil, fmt.Errorf("store: object %q: %w", id, err)
 		}
 		for _, e := range emitted {
 			st.retain(sh, id, obj, e)
@@ -275,8 +292,23 @@ func (st *Store) appendLocked(sh *shard, id string, s trajectory.Sample) ([]traj
 	obj.lastRaw = s
 	obj.rawSeen++
 	sh.rawPts++
-	st.ins.appends.Inc()
-	return retained, nil
+	sh.pending.appends++
+	return obj, retained, nil
+}
+
+// objectLocked returns the object stored under id, creating it (with its
+// compressor) when there is none; the shard lock must be held.
+func (st *Store) objectLocked(sh *shard, id string) *object {
+	obj := sh.objects[id]
+	if obj == nil {
+		obj = &object{}
+		if st.opts.NewCompressor != nil {
+			obj.comp = st.opts.NewCompressor()
+		}
+		sh.objects[id] = obj
+		st.ins.objects.Inc()
+	}
+	return obj
 }
 
 // Restore inserts a sample directly into an object's retained trajectory,
@@ -290,15 +322,8 @@ func (st *Store) Restore(id string, s trajectory.Sample) error {
 	sh := st.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	obj := sh.objects[id]
-	if obj == nil {
-		obj = &object{}
-		if st.opts.NewCompressor != nil {
-			obj.comp = st.opts.NewCompressor()
-		}
-		sh.objects[id] = obj
-		st.ins.objects.Inc()
-	}
+	defer st.publishLocked(sh)
+	obj := st.objectLocked(sh, id)
 	if obj.rawSeen > 0 && s.T <= obj.lastRaw.T {
 		return fmt.Errorf("store: object %q: %w: t=%v after t=%v", id, trajectory.ErrUnsorted, s.T, obj.lastRaw.T)
 	}
@@ -306,7 +331,7 @@ func (st *Store) Restore(id string, s trajectory.Sample) error {
 	obj.lastRaw = s
 	obj.rawSeen++
 	sh.rawPts++
-	st.ins.appends.Inc()
+	sh.pending.appends++
 	return nil
 }
 
@@ -317,10 +342,28 @@ func (st *Store) retain(sh *shard, id string, obj *object, s trajectory.Sample) 
 		prev := obj.retained[n-1]
 		sh.index.insert(id, geo.Seg(prev.Pos(), s.Pos()).Bounds(), prev.T, s.T)
 		sh.idxSegs++
-		st.ins.indexSegments.Inc()
+		sh.pending.segments++
 	}
 	obj.retained = append(obj.retained, s)
-	st.ins.retained.Inc()
+	sh.pending.retained++
+}
+
+// publishLocked moves the shard's pending instrument deltas into the
+// registry: one update per instrument per locked section instead of one per
+// point, so the totals are exact whenever no append is in flight. The
+// shard's lock must be held.
+func (st *Store) publishLocked(sh *shard) {
+	p := &sh.pending
+	if p.appends != 0 {
+		st.ins.appends.Add(int64(p.appends))
+	}
+	if p.retained != 0 {
+		st.ins.retained.Add(float64(p.retained))
+	}
+	if p.segments != 0 {
+		st.ins.indexSegments.Add(float64(p.segments))
+	}
+	*p = pendingDeltas{}
 }
 
 // Retained returns only the finalized (post-compression) samples of an

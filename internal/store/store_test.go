@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -396,5 +398,42 @@ func TestStatsPointsPerObject(t *testing.T) {
 	}
 	if sum != s.RetainedPoints {
 		t.Errorf("breakdown sums to %d, want %d", sum, s.RetainedPoints)
+	}
+}
+
+// TestAppendBatchKeepsNoReferenceToTheBatch pins the Backend.AppendBatch
+// contract the server relies on when it reuses one sample buffer for every
+// MAPPEND of a connection: once AppendBatch returns, the caller may
+// overwrite the slice without changing what the store holds.
+func TestAppendBatchKeepsNoReferenceToTheBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"raw", Options{}},
+		{"opwtr", Options{NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 1}) }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := New(tc.opts)
+			batch := make([]trajectory.Sample, 32)
+			for i := range batch {
+				batch[i] = trajectory.S(float64(i), float64(i*i), float64(i%5))
+			}
+			if _, err := st.AppendBatch("a", batch); err != nil {
+				t.Fatal(err)
+			}
+			want, _ := st.Snapshot("a")
+			wantStats := st.Stats()
+			for i := range batch {
+				batch[i] = trajectory.S(-1, 1e9, 1e9)
+			}
+			got, _ := st.Snapshot("a")
+			if !slices.Equal(got, want) {
+				t.Fatalf("snapshot after the caller overwrote its batch:\n got %v\nwant %v", got, want)
+			}
+			if gotStats := st.Stats(); !reflect.DeepEqual(gotStats, wantStats) {
+				t.Fatalf("stats after the caller overwrote its batch: %+v, want %+v", gotStats, wantStats)
+			}
+		})
 	}
 }

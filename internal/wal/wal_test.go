@@ -3,6 +3,7 @@ package wal
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
@@ -471,5 +472,44 @@ func TestWALMetrics(t *testing.T) {
 	}
 	if got := d2.Stats().RetainedPoints; got != 10 {
 		t.Errorf("recovered %d points, want 10", got)
+	}
+}
+
+// TestDurableAppendBatchKeepsNoReferenceToTheBatch is the WAL half of the
+// Backend.AppendBatch contract: a caller overwriting its batch after the
+// call returns changes neither the live store nor what a reopen replays.
+func TestDurableAppendBatchKeepsNoReferenceToTheBatch(t *testing.T) {
+	path := logPath(t)
+	d, err := OpenDurable(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]trajectory.Sample, 32)
+	for i := range batch {
+		batch[i] = trajectory.S(float64(i), float64(i*i), float64(i%5))
+	}
+	want := trajectory.Trajectory(slices.Clone(batch))
+	if _, err := d.AppendBatch("a", batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		batch[i] = trajectory.S(-1, 1e9, 1e9)
+	}
+	if got, _ := d.Snapshot("a"); !slices.Equal(got, want) {
+		t.Fatalf("snapshot after the caller overwrote its batch:\n got %v\nwant %v", got, want)
+	}
+	if st := d.Stats(); st.RawPoints != len(want) || st.PointsPerObject["a"] != len(want) {
+		t.Fatalf("stats after the caller overwrote its batch: %+v, want %d points", st, len(want))
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDurable(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if got, _ := d2.Snapshot("a"); !slices.Equal(got, want) {
+		t.Fatalf("replayed after the caller overwrote its batch:\n got %v\nwant %v", got, want)
 	}
 }
