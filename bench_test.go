@@ -105,7 +105,6 @@ func BenchmarkAlgorithms(b *testing.B) {
 		NewRadial(50),
 		NewDeadReckoning(50),
 		NewDouglasPeucker(50),
-		NewDouglasPeuckerHull(50),
 		NewNOPW(50),
 		NewBOPW(50),
 		NewTDTR(50),
@@ -122,20 +121,6 @@ func BenchmarkAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				alg.Compress(p)
-			}
-		})
-	}
-}
-
-// BenchmarkDPHullAblation compares the naive O(N²) Douglas-Peucker against
-// the convex-hull-accelerated variant on a long trajectory (DESIGN.md §5).
-func BenchmarkDPHullAblation(b *testing.B) {
-	long := GenerateTrip(99, Mixed, 4*3600) // ≈1440 points
-	for _, alg := range []Algorithm{NewDouglasPeucker(40), NewDouglasPeuckerHull(40)} {
-		b.Run(alg.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				alg.Compress(long)
 			}
 		})
 	}

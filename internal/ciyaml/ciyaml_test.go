@@ -437,6 +437,7 @@ func TestCIFuzzJobShape(t *testing.T) {
 		"FuzzDecodeCSV":               "./internal/codec",
 		"FuzzWALDecode":               "./internal/wal",
 		"FuzzCommandLine":             "./internal/server",
+		"FuzzFollowerStream":          "./internal/repl",
 	}
 	include := fuzz.Get("strategy").Get("matrix").Get("include")
 	if include == nil || include.Kind != SeqNode {

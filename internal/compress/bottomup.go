@@ -2,7 +2,6 @@ package compress
 
 import (
 	"container/heap"
-	"fmt"
 
 	"repro/internal/sed"
 	"repro/internal/trajectory"
@@ -35,9 +34,7 @@ func (a BottomUp) Name() string { return "BU" }
 // Compress implements Algorithm.
 func (a BottomUp) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 	validateDistance("BottomUp", a.Threshold)
-	return bottomUp(p, a.Threshold, func(p trajectory.Trajectory, lo, _, hi int) float64 {
-		return maxPerpOverSpan(p, lo, hi)
-	})
+	return bottomUp(p, a.Threshold, maxPerpOverSpan)
 }
 
 // BottomUpTR is the bottom-up merge algorithm under the synchronized
@@ -54,47 +51,13 @@ func (a BottomUpTR) Name() string { return "BU-TR" }
 // Compress implements Algorithm.
 func (a BottomUpTR) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 	validateDistance("BottomUpTR", a.Threshold)
-	return bottomUp(p, a.Threshold, func(p trajectory.Trajectory, lo, _, hi int) float64 {
-		return maxSyncOverSpan(p, lo, hi)
-	})
+	return bottomUp(p, a.Threshold, maxSyncOverSpan)
 }
 
-// Visvalingam is the Visvalingam–Whyatt effective-area algorithm, a classic
-// line-generalization baseline in the same family as the paper's §2
-// sequential methods: repeatedly remove the point forming the smallest
-// triangle with its retained neighbours. Unlike BottomUp it prices removals
-// locally (no per-point distance guarantee); it is included as a baseline
-// and for cartographic use.
-type Visvalingam struct {
-	// AreaThreshold is the minimum effective triangle area in m² a point
-	// must subtend to survive.
-	AreaThreshold float64
-}
-
-// Name implements Algorithm.
-func (a Visvalingam) Name() string { return "VW" }
-
-// Compress implements Algorithm.
-func (a Visvalingam) Compress(p trajectory.Trajectory) trajectory.Trajectory {
-	if a.AreaThreshold < 0 {
-		panic(fmt.Sprintf("compress: Visvalingam: negative area threshold %v", a.AreaThreshold))
-	}
-	return bottomUp(p, a.AreaThreshold, func(p trajectory.Trajectory, lo, j, hi int) float64 {
-		u := p[j].Pos().Sub(p[lo].Pos())
-		v := p[hi].Pos().Sub(p[lo].Pos())
-		area := u.Cross(v)
-		if area < 0 {
-			area = -area
-		}
-		return area / 2
-	})
-}
-
-// removalCost prices the removal of retained point j whose current retained
-// neighbours are a and b. The bottom-up merge algorithms use the maximum
-// distance of ALL original points hidden in (a, b) — which yields the
-// per-point error guarantee; Visvalingam uses the local triangle area.
-type removalCost func(p trajectory.Trajectory, a, j, b int) float64
+// removalCost prices the removal of the retained point between retained
+// neighbours a and b: the maximum distance of ALL original points hidden in
+// (a, b), which yields the per-point error guarantee.
+type removalCost func(p trajectory.Trajectory, a, b int) float64
 
 func maxPerpOverSpan(p trajectory.Trajectory, lo, hi int) float64 {
 	line := segBetween(p, lo, hi)
@@ -147,7 +110,7 @@ func bottomUp(p trajectory.Trajectory, threshold float64, cost removalCost) traj
 
 	h := make(mergeHeap, 0, n-2)
 	for i := 1; i < n-1; i++ {
-		h = append(h, mergeItem{cost: cost(p, i-1, i, i+1), idx: i})
+		h = append(h, mergeItem{cost: cost(p, i-1, i+1), idx: i})
 	}
 	heap.Init(&h)
 
@@ -165,11 +128,11 @@ func bottomUp(p trajectory.Trajectory, threshold float64, cost removalCost) traj
 		next[a], prev[b] = b, a
 		if a > 0 {
 			stamp[a]++
-			heap.Push(&h, mergeItem{cost: cost(p, prev[a], a, next[a]), idx: a, stamp: stamp[a]})
+			heap.Push(&h, mergeItem{cost: cost(p, prev[a], next[a]), idx: a, stamp: stamp[a]})
 		}
 		if b < n-1 {
 			stamp[b]++
-			heap.Push(&h, mergeItem{cost: cost(p, prev[b], b, next[b]), idx: b, stamp: stamp[b]})
+			heap.Push(&h, mergeItem{cost: cost(p, prev[b], next[b]), idx: b, stamp: stamp[b]})
 		}
 	}
 

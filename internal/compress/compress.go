@@ -9,9 +9,7 @@
 //     Radial (Euclidean neighbour elimination) and Angular (Jenks' angular
 //     change criterion).
 //   - Line-generalization algorithms (§2.1–2.2): DouglasPeucker (the paper's
-//     NDP), its O(N log N) path-hull variant DouglasPeuckerHull
-//     (Hershberger–Snoeyink), and the opening-window algorithms NOPW and
-//     BOPW.
+//     NDP) and the opening-window algorithms NOPW and BOPW.
 //   - The paper's time-ratio class (§3.2): TDTR and OPWTR, which replace the
 //     perpendicular distance with the synchronized (time-ratio) distance of
 //     internal/sed.

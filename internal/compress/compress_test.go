@@ -38,7 +38,6 @@ func allAlgorithms(dist, speed float64) []Algorithm {
 		Angular{AngleThreshold: 0.2},
 		DeadReckoning{Threshold: dist},
 		DouglasPeucker{Threshold: dist},
-		DouglasPeuckerHull{Threshold: dist},
 		NOPW{Threshold: dist},
 		BOPW{Threshold: dist},
 		TDTR{Threshold: dist},
@@ -133,7 +132,6 @@ func TestHugeThresholdCollapses(t *testing.T) {
 	p := randomTrack(rng, 100)
 	algs := []Algorithm{
 		DouglasPeucker{Threshold: 1e12},
-		DouglasPeuckerHull{Threshold: 1e12},
 		NOPW{Threshold: 1e12},
 		BOPW{Threshold: 1e12},
 		TDTR{Threshold: 1e12},
@@ -184,7 +182,6 @@ func TestPerpendicularGuarantee(t *testing.T) {
 		p := randomTrack(rng, 150)
 		for _, alg := range []Algorithm{
 			DouglasPeucker{Threshold: eps},
-			DouglasPeuckerHull{Threshold: eps},
 			NOPW{Threshold: eps},
 			BOPW{Threshold: eps},
 		} {

@@ -33,7 +33,6 @@ func TestTranslationEquivariance(t *testing.T) {
 		Uniform{K: 4},
 		Radial{Threshold: 60},
 		DouglasPeucker{Threshold: 60},
-		DouglasPeuckerHull{Threshold: 60},
 		NOPW{Threshold: 60},
 		BOPW{Threshold: 60},
 		TDTR{Threshold: 60},
@@ -47,7 +46,6 @@ func TestTranslationEquivariance(t *testing.T) {
 		DouglasPeuckerN{N: 12},
 		TDTRN{N: 12},
 		SQUISH{Capacity: 12},
-		Visvalingam{AreaThreshold: 2000},
 		DeadReckoning{Threshold: 60},
 		// One-pass algorithms: every decision is made on anchor-relative
 		// differences, which are bit-exact under lattice shifts. (CISED-W
@@ -101,7 +99,6 @@ func TestRotationEquivariance(t *testing.T) {
 		OPWTR{Threshold: 60},
 		OPWSP{DistThreshold: 60, SpeedThreshold: 25},
 		BottomUpTR{Threshold: 60},
-		Visvalingam{AreaThreshold: 2000},
 		SQUISH{Capacity: 15},
 	}
 	for trial := 0; trial < 8; trial++ {
@@ -124,8 +121,7 @@ func TestRotationEquivariance(t *testing.T) {
 
 // Scaling space and the distance threshold together leaves the selection of
 // the scale-homogeneous algorithms unchanged (speeds scale too, so the
-// speed threshold is scaled alongside; Visvalingam's area scales
-// quadratically).
+// speed threshold is scaled alongside).
 func TestScaleEquivariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	const k = 4.0 // power of two: exact float scaling
@@ -142,7 +138,6 @@ func TestScaleEquivariance(t *testing.T) {
 			{OPWTR{Threshold: 50}, OPWTR{Threshold: 50 * k}},
 			{OPWSP{DistThreshold: 50, SpeedThreshold: 20}, OPWSP{DistThreshold: 50 * k, SpeedThreshold: 20 * k}},
 			{BottomUpTR{Threshold: 50}, BottomUpTR{Threshold: 50 * k}},
-			{Visvalingam{AreaThreshold: 1000}, Visvalingam{AreaThreshold: 1000 * k * k}},
 		}
 		for _, pr := range pairs {
 			a := pr.a.Compress(p)

@@ -32,8 +32,6 @@ var table = []row{
 		func(a []float64) Algorithm { return DeadReckoning{Threshold: a[0]} }},
 	{"ndp", "D", "Douglas-Peucker, perpendicular tolerance D metres",
 		func(a []float64) Algorithm { return DouglasPeucker{Threshold: a[0]} }},
-	{"ndphull", "D", "hull-accelerated Douglas-Peucker",
-		func(a []float64) Algorithm { return DouglasPeuckerHull{Threshold: a[0]} }},
 	{"nopw", "D[:W]", "normal opening window (W: optional window cap in points, 0 = unbounded)",
 		func(a []float64) Algorithm { return NOPW{Threshold: a[0], MaxWindow: int(a[1])} }},
 	{"bopw", "D[:W]", "before opening window",
@@ -62,8 +60,6 @@ var table = []row{
 		func(a []float64) Algorithm { return TDTRN{N: int(a[0])} }},
 	{"squish", "N", "SQUISH online sketch of N points",
 		func(a []float64) Algorithm { return SQUISH{Capacity: int(a[0])} }},
-	{"vw", "A", "Visvalingam-Whyatt, effective area tolerance A m²",
-		func(a []float64) Algorithm { return Visvalingam{AreaThreshold: a[0]} }},
 	{"operb", "D", "one-pass error bounded, perpendicular tolerance D",
 		func(a []float64) Algorithm { return OPERB{Threshold: a[0]} }},
 	{"ciseds", "D", "one-pass strong SED simplification, tolerance D",

@@ -16,7 +16,6 @@ func TestParseValidSpecs(t *testing.T) {
 		{"angular:0.3", "Angular(0.3)"},
 		{"dr:40", "DeadReckoning(40)"},
 		{"ndp:30", "NDP"},
-		{"ndphull:30", "NDP-hull"},
 		{"nopw:30", "NOPW"},
 		{"bopw:30", "BOPW"},
 		{"tdtr:30", "TD-TR"},
@@ -30,7 +29,6 @@ func TestParseValidSpecs(t *testing.T) {
 		{"ndpn:40", "NDP-N(40)"},
 		{"tdtrn:40", "TD-TR-N(40)"},
 		{"squish:40", "SQUISH(40)"},
-		{"vw:100", "VW"},
 		{"operb:30", "OPERB"},
 		{"ciseds:30", "CISED-S"},
 		{"cisedw:30", "CISED-W"},
@@ -92,7 +90,7 @@ func TestParsedAlgorithmsRun(t *testing.T) {
 	p := evenLine(30)
 	for _, spec := range []string{
 		"uniform:2", "radial:15", "angular:0.2", "dr:10",
-		"ndp:10", "ndphull:10", "nopw:10", "bopw:10",
+		"ndp:10", "nopw:10", "bopw:10",
 		"tdtr:10", "opwtr:10", "opwsp:10:5", "tdsp:10:5",
 		"bu:10", "butr:10", "sw:10:8", "swtr:10:8",
 	} {

@@ -63,8 +63,7 @@ type DouglasPeucker struct {
 func (d DouglasPeucker) Name() string { return "NDP" }
 
 // Compress implements Algorithm. Time complexity is O(N²) in the worst case,
-// matching the original formulation; see DouglasPeuckerHull for the
-// O(N log N) path-hull variant.
+// matching the original formulation.
 func (d DouglasPeucker) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 	validateDistance("DouglasPeucker", d.Threshold)
 	return topDown(p, func(p trajectory.Trajectory, lo, hi int) (int, bool) {

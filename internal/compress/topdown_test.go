@@ -46,27 +46,6 @@ func TestDouglasPeuckerCollinear(t *testing.T) {
 	}
 }
 
-// The hull-accelerated variant must agree with the naive implementation on
-// generic (tie-free) data.
-func TestHullVariantMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 30; trial++ {
-		p := randomTrack(rng, 50+rng.Intn(300))
-		for _, eps := range []float64{5, 30, 80, 200} {
-			naive := DouglasPeucker{Threshold: eps}.Compress(p)
-			hull := DouglasPeuckerHull{Threshold: eps}.Compress(p)
-			if naive.Len() != hull.Len() {
-				t.Fatalf("eps=%v: naive kept %d, hull kept %d", eps, naive.Len(), hull.Len())
-			}
-			for i := range naive {
-				if naive[i] != hull[i] {
-					t.Fatalf("eps=%v: outputs differ at %d: %v vs %v", eps, i, naive[i], hull[i])
-				}
-			}
-		}
-	}
-}
-
 // TD-TR and NDP coincide on constant-speed motion along a line only when the
 // object's parameterization is uniform; under dwell they diverge. This pins
 // the basic TD-TR decision rule.

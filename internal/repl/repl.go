@@ -24,11 +24,8 @@
 // the replication loop stops and the store's write path reopens. The
 // operator is responsible for never running two primaries.
 //
-// Replication and log compaction are incompatible while a follower is
-// attached: Compact swaps the file behind LogPath and rewrites history, so
-// byte offsets stop matching. Runtime code never compacts (it is a
-// maintenance operation); a compacted primary requires followers restarted
-// from empty logs.
+// The primary's log is append-only — nothing rewrites or replaces the file
+// behind LogPath — so a follower's byte offset stays a valid cursor into it.
 package repl
 
 import (

@@ -46,8 +46,8 @@ type ClientOptions struct {
 	BackoffMax  time.Duration
 	// Seed seeds the backoff jitter, so a failing run replays exactly.
 	Seed int64
-	// Metrics receives the client_retries_total, client_reconnects_total
-	// and client_failovers_total counters (nil selects metrics.Default()).
+	// Metrics receives the client_retries_total and client_reconnects_total
+	// counters (nil selects metrics.Default()).
 	Metrics *metrics.Registry
 }
 
@@ -73,40 +73,23 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// clientConn is one pooled connection to one server address.
-type clientConn struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
 // Client is a synchronous, self-healing client for the tracking protocol:
 // on transport errors it reconnects with seeded exponential backoff and
 // retries idempotent commands. It is safe for concurrent use; requests are
-// serialized (one connection per configured address).
-//
-// With a single address every request uses that server. With DialCluster's
-// address list the client routes writes to the address it believes is the
-// primary and round-robins read commands over the remaining addresses
-// (followers) with the primary as one more rotation member. Failover rules
-// preserve write safety: a request that could not be SENT (dial failure, or
-// a definitive "readonly" refusal from a follower) may move to the next
-// address, but a write whose bytes left the socket is never re-sent — a lost
-// reply leaves its outcome unknown.
+// serialized over one connection.
 type Client struct {
-	addrs []string
-	opts  ClientOptions
+	addr string
+	opts ClientOptions
 
-	mu      sync.Mutex
-	conns   []*clientConn // parallel to addrs; nil while disconnected
-	primary int           // index writes are routed to
-	rr      int           // read round-robin cursor
-	rng     *rand.Rand
-	ever    bool // a connection has succeeded before (reconnects vs first dial)
+	mu   sync.Mutex
+	conn net.Conn // nil while disconnected
+	r    *bufio.Reader
+	w    *bufio.Writer
+	rng  *rand.Rand
+	ever bool // a connection has succeeded before (reconnects vs first dial)
 
 	retries    *metrics.Counter
 	reconnects *metrics.Counter
-	failovers  *metrics.Counter
 }
 
 // Dial connects to a tracking server with default resilience options.
@@ -123,65 +106,46 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 // options. The initial connection is attempted once, without retries, so a
 // wrong address fails fast.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
-	return DialCluster([]string{addr}, opts)
-}
-
-// DialCluster connects to a replicated deployment: addrs[0] is the presumed
-// primary (writes go there until a failover moves them), the rest are
-// followers that serve reads. The initial connection tries each address once
-// in order and succeeds on the first reachable one; unreachable members are
-// re-dialled lazily when a request routes to them.
-func DialCluster(addrs []string, opts ClientOptions) (*Client, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("server: no addresses")
-	}
 	opts = opts.withDefaults()
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.Default()
 	}
 	c := &Client{
-		addrs:      append([]string(nil), addrs...),
+		addr:       addr,
 		opts:       opts,
-		conns:      make([]*clientConn, len(addrs)),
-		rr:         1 % len(addrs), // prefer followers for the first read
 		rng:        rand.New(rand.NewSource(opts.Seed)),
 		retries:    reg.Counter("client_retries_total"),
 		reconnects: reg.Counter("client_reconnects_total"),
-		failovers:  reg.Counter("client_failovers_total"),
 	}
-	var lastErr error
-	for i := range c.addrs {
-		if _, lastErr = c.connLocked(i); lastErr == nil {
-			return c, nil
-		}
+	if err := c.connLocked(); err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	return c, nil
 }
 
-// connLocked returns the pooled connection to addrs[idx], dialling if
-// needed. Callers hold c.mu, except DialCluster before the client escapes.
-func (c *Client) connLocked(idx int) (*clientConn, error) {
-	if cc := c.conns[idx]; cc != nil {
-		return cc, nil
+// connLocked dials the server unless a connection is live. Callers hold
+// c.mu, except DialOptions before the client escapes.
+func (c *Client) connLocked() error {
+	if c.conn != nil {
+		return nil
 	}
-	conn, err := net.DialTimeout("tcp", c.addrs[idx], c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("server: dial %s: %w", c.addrs[idx], err)
+		return fmt.Errorf("server: dial %s: %w", c.addr, err)
 	}
 	if c.ever {
 		c.reconnects.Inc()
 	}
 	c.ever = true
-	cc := &clientConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	c.conns[idx] = cc
-	return cc, nil
+	c.conn, c.r, c.w = conn, bufio.NewReader(conn), bufio.NewWriter(conn)
+	return nil
 }
 
-func (c *Client) dropLocked(idx int) {
-	if cc := c.conns[idx]; cc != nil {
-		_ = cc.conn.Close() // already failing; the request error is the one reported
-		c.conns[idx] = nil
+func (c *Client) dropLocked() {
+	if c.conn != nil {
+		_ = c.conn.Close() // already failing; the request error is the one reported
+		c.conn = nil
 	}
 }
 
@@ -196,124 +160,71 @@ func (c *Client) backoffLocked(n int) {
 	time.Sleep(d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1)))
 }
 
-// Close sends QUIT (best effort) on every live connection and closes them.
+// Close sends QUIT (best effort) on the live connection and closes it.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
-	for i, cc := range c.conns {
-		if cc == nil {
-			continue
-		}
-		fmt.Fprintln(cc.w, "QUIT")
-		_ = cc.w.Flush() // best-effort courtesy QUIT; Close reports the connection close
-		if cerr := cc.conn.Close(); err == nil {
-			err = cerr
-		}
-		c.conns[i] = nil
+	if c.conn == nil {
+		return nil
 	}
+	fmt.Fprintln(c.w, "QUIT")
+	_ = c.w.Flush() // best-effort courtesy QUIT; Close reports the connection close
+	err := c.conn.Close()
+	c.conn = nil
 	return err
-}
-
-// pickLocked chooses the address for this attempt. Writes always go to the
-// current primary. Reads round-robin over the whole membership starting at
-// the followers, so query load spreads while the primary still answers when
-// it is the only node left.
-func (c *Client) pickLocked(readAnywhere bool) int {
-	if !readAnywhere || len(c.addrs) == 1 {
-		return c.primary
-	}
-	idx := c.rr % len(c.addrs)
-	c.rr++
-	return idx
-}
-
-// failoverLocked moves the presumed primary to the next address. Only
-// callers that know the request was NOT applied (dial failure, readonly
-// refusal) may do this for a write.
-func (c *Client) failoverLocked() {
-	c.primary = (c.primary + 1) % len(c.addrs)
-	c.failovers.Inc()
 }
 
 // do runs one request: send cmd, parse the response with read. Transport
 // failures drop the connection; idempotent requests are then retried (up to
-// MaxRetries) over a fresh connection — the next cluster member for reads —
-// after a backoff. Non-idempotent requests are never re-sent once any bytes
-// may have reached the server — an APPEND whose reply was lost might have
-// been applied, and blind resend would be rejected as a duplicate timestamp
-// at best and double-apply at worst. A RemoteError is final, with one
-// exception: a follower's "readonly" refusal proves the write was not
-// applied, so it fails over to the next address and retries safely.
-// readAnywhere marks commands any replica can answer; the rest go to the
-// primary.
-func (c *Client) do(cmd string, idempotent, readAnywhere bool, read func(r *bufio.Reader) error) error {
+// MaxRetries) over a fresh connection after a backoff. Non-idempotent
+// requests are never re-sent once any bytes may have reached the server —
+// an APPEND whose reply was lost might have been applied, and blind resend
+// would be rejected as a duplicate timestamp at best and double-apply at
+// worst. A RemoteError is final.
+func (c *Client) do(cmd string, idempotent bool, read func(r *bufio.Reader) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		idx := c.pickLocked(readAnywhere)
-		cc, err := c.connLocked(idx)
-		if err != nil {
-			lastErr = err
-			if !readAnywhere && len(c.addrs) > 1 {
-				// The write's target is unreachable; nothing was sent, so
-				// steering writes to the next member is safe.
-				c.failoverLocked()
-			}
+		if err := c.connLocked(); err != nil {
 			if attempt >= c.opts.MaxRetries {
 				return err
 			}
-			// Nothing has been sent, so waiting out a restart is safe
-			// for every command class.
+			// Nothing has been sent, so waiting out a restart is safe for
+			// every command class.
 			c.retries.Inc()
 			c.backoffLocked(attempt)
 			continue
 		}
-		err = c.sendRecvLocked(cc, cmd, read)
+		err := c.sendRecvLocked(cmd, read)
 		if err == nil {
 			return nil
 		}
 		var remote *RemoteError
 		if errors.As(err, &remote) {
-			if !readAnywhere && len(c.addrs) > 1 && strings.HasPrefix(remote.Msg, "readonly") {
-				// The node answered "readonly": it is a follower, and it
-				// definitively did not apply the write. Fail over and retry
-				// even for non-idempotent commands.
-				c.failoverLocked()
-				lastErr = err
-				if attempt >= c.opts.MaxRetries {
-					return err
-				}
-				c.retries.Inc()
-				c.backoffLocked(attempt)
-				continue
-			}
 			return err
 		}
-		c.dropLocked(idx)
-		lastErr = err
+		c.dropLocked()
 		if !idempotent || attempt >= c.opts.MaxRetries {
-			return lastErr
+			return err
 		}
 		c.retries.Inc()
 		c.backoffLocked(attempt)
 	}
 }
 
-func (c *Client) sendRecvLocked(cc *clientConn, cmd string, read func(r *bufio.Reader) error) error {
+func (c *Client) sendRecvLocked(cmd string, read func(r *bufio.Reader) error) error {
 	if c.opts.IOTimeout > 0 {
-		if err := cc.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil {
+		if err := c.conn.SetDeadline(time.Now().Add(c.opts.IOTimeout)); err != nil {
 			return fmt.Errorf("server: deadline: %w", err)
 		}
 	}
-	if _, err := fmt.Fprintln(cc.w, cmd); err != nil {
+	if _, err := fmt.Fprintln(c.w, cmd); err != nil {
 		return err
 	}
-	if err := cc.w.Flush(); err != nil {
+	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	return read(cc.r)
+	return read(c.r)
 }
 
 // readLine reads one response line, converting ERR replies to RemoteError.
@@ -330,9 +241,9 @@ func readLine(r *bufio.Reader) (string, error) {
 }
 
 // roundTrip sends one command and reads a single-line response.
-func (c *Client) roundTrip(cmd string, idempotent, readAnywhere bool) (string, error) {
+func (c *Client) roundTrip(cmd string, idempotent bool) (string, error) {
 	var resp string
-	err := c.do(cmd, idempotent, readAnywhere, func(r *bufio.Reader) error {
+	err := c.do(cmd, idempotent, func(r *bufio.Reader) error {
 		var rerr error
 		resp, rerr = readLine(r)
 		return rerr
@@ -341,10 +252,10 @@ func (c *Client) roundTrip(cmd string, idempotent, readAnywhere bool) (string, e
 }
 
 // readList sends one command and reads data lines up to END. Every list
-// command is a read any replica can answer.
+// command is a read, so it is retried like one.
 func (c *Client) readList(cmd string) ([]string, error) {
 	var out []string
-	err := c.do(cmd, true, true, func(r *bufio.Reader) error {
+	err := c.do(cmd, true, func(r *bufio.Reader) error {
 		out = out[:0]
 		for {
 			line, err := readLine(r)
@@ -365,16 +276,14 @@ func (c *Client) readList(cmd string) ([]string, error) {
 
 // Ping checks connectivity.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip("PING", true, true)
+	_, err := c.roundTrip("PING", true)
 	return err
 }
 
-// Promote asks the node this client's write path is routed to — the sole
-// node, for a single-address client — to become the replication primary
-// (manual failover). Idempotent: promoting a primary is an acknowledged
-// no-op.
+// Promote asks the server to become the replication primary (manual
+// failover). Idempotent: promoting a primary is an acknowledged no-op.
 func (c *Client) Promote() error {
-	resp, err := c.roundTrip("PROMOTE", true, false)
+	resp, err := c.roundTrip("PROMOTE", true)
 	if err != nil {
 		return err
 	}
@@ -393,7 +302,7 @@ func (c *Client) Append(id string, s trajectory.Sample) error {
 	if strings.ContainsAny(id, " \t\n") {
 		return fmt.Errorf("server: object id %q contains whitespace", id)
 	}
-	_, err := c.roundTrip(fmt.Sprintf("APPEND %s %g %g %g", id, s.T, s.X, s.Y), false, false)
+	_, err := c.roundTrip(fmt.Sprintf("APPEND %s %g %g %g", id, s.T, s.X, s.Y), false)
 	return err
 }
 
@@ -414,7 +323,7 @@ func (c *Client) AppendBatch(id string, ss []trajectory.Sample) error {
 	for _, s := range ss {
 		fmt.Fprintf(&b, "\n%g %g %g", s.T, s.X, s.Y)
 	}
-	resp, err := c.roundTrip(b.String(), false, false)
+	resp, err := c.roundTrip(b.String(), false)
 	if err != nil {
 		return err
 	}
@@ -426,7 +335,7 @@ func (c *Client) AppendBatch(id string, ss []trajectory.Sample) error {
 
 // PositionAt queries the interpolated position of an object at time t.
 func (c *Client) PositionAt(id string, t float64) (geo.Point, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("POSITION %s %g", id, t), true, true)
+	resp, err := c.roundTrip(fmt.Sprintf("POSITION %s %g", id, t), true)
 	if err != nil {
 		return geo.Point{}, err
 	}
@@ -535,7 +444,7 @@ func (c *Client) Nearest(q geo.Point, t float64, k int) ([]store.Neighbor, error
 // tier, returning the number of samples moved out of the hot tier. Sealing
 // to the same cut twice is a no-op, so the command is retried like a read.
 func (c *Client) Seal(t float64) (int, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("SEAL %g", t), true, false)
+	resp, err := c.roundTrip(fmt.Sprintf("SEAL %g", t), true)
 	if err != nil {
 		return 0, err
 	}
@@ -550,7 +459,7 @@ func (c *Client) Seal(t float64) (int, error) {
 // of removed samples. Like Append it mutates server state, so it is not
 // retried past a transport failure.
 func (c *Client) EvictBefore(t float64) (int, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("EVICT %g", t), false, false)
+	resp, err := c.roundTrip(fmt.Sprintf("EVICT %g", t), false)
 	if err != nil {
 		return 0, err
 	}
@@ -584,7 +493,7 @@ type Stats struct {
 // Stats reports server-side storage statistics.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	err := c.do("STATS", true, true, func(r *bufio.Reader) error {
+	err := c.do("STATS", true, func(r *bufio.Reader) error {
 		st = Stats{}
 		resp, err := readLine(r)
 		if err != nil {

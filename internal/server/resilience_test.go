@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/repl"
 	"repro/internal/store"
 	"repro/internal/trajectory"
 	"repro/internal/wal"
@@ -385,153 +384,6 @@ func TestResilienceCountersInBothExpositions(t *testing.T) {
 		if !strings.Contains(httpText, name) {
 			t.Errorf("HTTP exposition missing %s", name)
 		}
-	}
-}
-
-// A cluster client's idempotent read that lands on a dead member is retried
-// against the next address; the caller sees success, not the dead node.
-func TestClusterReadFailsOverToNextAddress(t *testing.T) {
-	live := startReplNode(t, repl.AckPrimary, 0, "")
-
-	// A member that is reachable at cluster-dial time but dead afterwards.
-	deadL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadL.Addr().String()
-	_ = deadL.Close()
-
-	reg := metrics.NewRegistry()
-	c, err := DialCluster([]string{live.addr, deadAddr}, fastOpts(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// The read cursor starts at the follower slot (the dead member); the
-	// dial failure must be absorbed by a retry against the live node.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("read with one dead member: %v", err)
-	}
-	if got := counterVal(reg, "client_retries_total"); got < 1 {
-		t.Errorf("client_retries_total = %v, want >= 1 (dead member skipped)", got)
-	}
-	if got := counterVal(reg, "client_failovers_total"); got != 0 {
-		t.Errorf("client_failovers_total = %v, want 0 — reads must not move the write primary", got)
-	}
-}
-
-// A write whose target is unreachable never left the client, so steering it
-// to the next member is safe — and counted as a failover.
-func TestClusterWriteFailsOverOnDialFailure(t *testing.T) {
-	// Reserve an address that refuses connections, then a live node.
-	deadL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadL.Addr().String()
-	_ = deadL.Close()
-	live := startReplNode(t, repl.AckPrimary, 0, "")
-
-	reg := metrics.NewRegistry()
-	c, err := DialCluster([]string{deadAddr, live.addr}, fastOpts(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Append("bus", trajectory.S(1, 2, 3)); err != nil {
-		t.Fatalf("append with dead primary: %v", err)
-	}
-	if got := counterVal(reg, "client_failovers_total"); got < 1 {
-		t.Errorf("client_failovers_total = %v, want >= 1", got)
-	}
-	snap, ok := live.store.Snapshot("bus")
-	if !ok || len(snap) != 1 {
-		t.Fatalf("live node snapshot = %v (ok=%v); want the failed-over append", snap, ok)
-	}
-}
-
-// A follower's "readonly" refusal proves the write was not applied, so the
-// cluster client fails over and retries — even though APPEND/MAPPEND are
-// not idempotent.
-func TestClusterWriteFailsOverOnReadonly(t *testing.T) {
-	primary := startReplNode(t, repl.AckPrimary, 0, "")
-	follower := startReplNode(t, repl.AckPrimary, 0, primary.addr)
-
-	reg := metrics.NewRegistry()
-	// Presumed primary is actually the follower: stale cluster config.
-	c, err := DialCluster([]string{follower.addr, primary.addr}, fastOpts(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Append("bus", trajectory.S(1, 2, 3)); err != nil {
-		t.Fatalf("append via stale primary: %v", err)
-	}
-	if err := c.AppendBatch("bus", []trajectory.Sample{
-		trajectory.S(2, 2, 3), trajectory.S(3, 2, 3),
-	}); err != nil {
-		t.Fatalf("batch append via stale primary: %v", err)
-	}
-	if got := counterVal(reg, "client_failovers_total"); got < 1 {
-		t.Errorf("client_failovers_total = %v, want >= 1", got)
-	}
-	snap, ok := primary.store.Snapshot("bus")
-	if !ok || len(snap) != 3 {
-		t.Fatalf("primary snapshot = %d samples (ok=%v); want 3", len(snap), ok)
-	}
-}
-
-// A transport failure AFTER a write was sent is ambiguous — the append may
-// have been applied — so the cluster client must surface the error without
-// retrying against another member, even when one is available.
-func TestClusterWriteNotRetriedAfterSend(t *testing.T) {
-	// A treacherous primary: accepts, reads the request, hangs up without
-	// replying. The outcome of the append is unknowable to the client.
-	treacherousL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan struct{}, 16)
-	go func() {
-		for {
-			conn, err := treacherousL.Accept()
-			if err != nil {
-				return
-			}
-			accepted <- struct{}{}
-			//lint:allow goroleak exits after one bounded Read; the deferred listener close ends the accept loop
-			go func() {
-				buf := make([]byte, 256)
-				_, _ = conn.Read(buf) // swallow the request line
-				_ = conn.Close()      // then vanish: reply lost
-			}()
-		}
-	}()
-	defer treacherousL.Close()
-
-	healthy := startReplNode(t, repl.AckPrimary, 0, "")
-	reg := metrics.NewRegistry()
-	c, err := DialCluster([]string{treacherousL.Addr().String(), healthy.addr}, fastOpts(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Append("bus", trajectory.S(1, 2, 3)); err == nil {
-		t.Fatal("append with lost reply reported success")
-	}
-	if err := c.AppendBatch("bus", []trajectory.Sample{trajectory.S(2, 2, 3)}); err == nil {
-		t.Fatal("batch append with lost reply reported success")
-	}
-	if got := counterVal(reg, "client_failovers_total"); got != 0 {
-		t.Errorf("client_failovers_total = %v, want 0 — ambiguous writes must not fail over", got)
-	}
-	snap, _ := healthy.store.Snapshot("bus")
-	if len(snap) != 0 {
-		t.Errorf("healthy member received %d samples — ambiguous write was re-sent", len(snap))
 	}
 }
 

@@ -53,9 +53,8 @@ func (st *Store) SealedBytes() int64 {
 // store has no cold tier.
 //
 // Sealing never creates a durability dependency: the authoritative copy of
-// sealed samples is the write-ahead log (the cold tier is regenerable by
-// replaying it), which is why wal.DurableStore refuses to compact its log
-// while sealed history exists.
+// sealed samples is the write-ahead log, and the cold tier is regenerable by
+// replaying it.
 func (st *Store) SealBefore(t float64) (int, error) {
 	if st.cold == nil {
 		return 0, ErrSealDisabled

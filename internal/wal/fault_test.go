@@ -107,7 +107,8 @@ func TestLogTruncatedAtEveryByteOffset(t *testing.T) {
 
 // A failed write mid-append leaves the in-memory store ahead of the log; the
 // durable store must turn sticky-poisoned rather than keep acknowledging
-// appends it cannot make durable — and a successful Compact must heal it.
+// appends it cannot make durable. A restart heals it: the reopened store is
+// the replay of the log, which holds exactly the acknowledged prefix.
 func TestDurableStorePoisonAndHeal(t *testing.T) {
 	reg := metrics.NewRegistry()
 	set := fault.NewSet(reg)
@@ -139,43 +140,31 @@ func TestDurableStorePoisonAndHeal(t *testing.T) {
 	if err := d.Flush(); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("flush after failure = %v, want ErrPoisoned", err)
 	}
-	if d.Poisoned() == nil {
-		t.Fatal("Poisoned() = nil after divergence")
-	}
 	if got := counterValue(t, reg, "fault_hits_total"); got != 1 {
 		t.Errorf("fault_hits_total = %v, want 1", got)
 	}
-
-	// Compact rewrites the log from the store state: heals the poison, and
-	// the recovered state afterwards matches the in-memory snapshot exactly
-	// (including the sample whose log write failed).
-	if err := d.Compact(); err != nil {
-		t.Fatalf("healing compaction failed: %v", err)
-	}
-	if d.Poisoned() != nil {
-		t.Fatalf("still poisoned after compaction: %v", d.Poisoned())
-	}
-	if err := d.Append("car", trajectory.S(7, 7, 0)); err != nil {
-		t.Fatalf("append after heal: %v", err)
-	}
-	want, _ := d.Snapshot("car")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
+	if err := d.Close(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("close after failure = %v, want ErrPoisoned", err)
 	}
 
-	d2, err := OpenDurableFS(fault.OS, path, store.Options{})
+	// Restart: exactly the five acknowledged samples come back, not the
+	// sixth whose log write failed, and the write path is open again.
+	d2, err := OpenDurableFS(fault.OS, path, store.Options{Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	got, ok := d2.Snapshot("car")
-	if !ok || got.Len() != want.Len() {
-		t.Fatalf("recovered %d samples, want %d", got.Len(), want.Len())
+	got, _ := d2.Snapshot("car")
+	if got.Len() != 5 {
+		t.Fatalf("recovered %d samples, want the 5 acknowledged", got.Len())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %v vs %v", i, got[i], want[i])
+	for i, s := range got {
+		if want := trajectory.S(float64(i), float64(i), 0); s != want {
+			t.Fatalf("sample %d = %v, want %v", i, s, want)
 		}
+	}
+	if err := d2.Append("car", trajectory.S(5, 5, 0)); err != nil {
+		t.Fatalf("append after restart: %v", err)
 	}
 }
 
@@ -202,191 +191,5 @@ func TestDurableStorePoisonOnSyncFailure(t *testing.T) {
 	set.Disable(fault.SiteSync)
 	if err := d.Append("car", trajectory.S(2, 0, 0)); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after sync failure = %v, want ErrPoisoned", err)
-	}
-}
-
-// Compaction failures before the commit point must leave the old log
-// authoritative and the store fully usable — no poison, no data loss.
-func TestCompactFailuresBeforeCommitAreHarmless(t *testing.T) {
-	reg := metrics.NewRegistry()
-	set := fault.NewSet(reg)
-	fsys := fault.NewFS(fault.OS, set)
-	path := filepath.Join(t.TempDir(), "trips.wal")
-	d, err := OpenDurableFS(fsys, path, store.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := d.Append("car", trajectory.S(float64(i), float64(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Fail the replacement's final sync (inside tmp.Close), then the
-	// tmp→done rename: both abort before the commit point.
-	set.Enable(fault.SiteSync, fault.OnCall(1), fault.Action{})
-	if err := d.Compact(); err == nil {
-		t.Fatal("compaction with failing sync succeeded")
-	}
-	set.Disable(fault.SiteSync)
-	set.Enable(fault.SiteRename, fault.OnCall(1), fault.Action{})
-	if err := d.Compact(); err == nil {
-		t.Fatal("compaction with failing rename succeeded")
-	}
-	set.Disable(fault.SiteRename)
-
-	if d.Poisoned() != nil {
-		t.Fatalf("aborted compaction poisoned the store: %v", d.Poisoned())
-	}
-	if err := d.Append("car", trajectory.S(100, 0, 0)); err != nil {
-		t.Fatalf("append after aborted compactions: %v", err)
-	}
-	if _, err := os.Stat(path + compactTmpExt); !os.IsNotExist(err) {
-		t.Error("aborted compaction left a .compact.tmp behind")
-	}
-	if _, err := os.Stat(path + compactDoneExt); !os.IsNotExist(err) {
-		t.Error("aborted compaction left a .compact marker behind")
-	}
-
-	// And with the faults gone, compaction succeeds.
-	if err := d.Compact(); err != nil {
-		t.Fatalf("clean compaction after aborts: %v", err)
-	}
-	if got := counterValue(t, reg, "wal_compactions_total"); got != 1 {
-		t.Errorf("wal_compactions_total = %v, want 1", got)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := OpenDurableFS(fault.OS, path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	snap, _ := d2.Snapshot("car")
-	if snap.Len() != 11 {
-		t.Errorf("recovered %d samples, want 11", snap.Len())
-	}
-}
-
-// A failure of the commit rename (done→path) rolls the marker back: the old
-// log stays authoritative and the store keeps working.
-func TestCompactCommitRenameRollsBack(t *testing.T) {
-	reg := metrics.NewRegistry()
-	set := fault.NewSet(reg)
-	path := filepath.Join(t.TempDir(), "trips.wal")
-	d, err := OpenDurableFS(fault.NewFS(fault.OS, set), path, store.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := d.Append("car", trajectory.S(float64(i), float64(i), 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Rename 1 (tmp→done) succeeds, rename 2 (done→path) fails.
-	set.Enable(fault.SiteRename, fault.OnCall(2), fault.Action{})
-	if err := d.Compact(); err == nil {
-		t.Fatal("compaction with failing commit rename succeeded")
-	}
-	set.Disable(fault.SiteRename)
-	if _, err := os.Stat(path + compactDoneExt); !os.IsNotExist(err) {
-		t.Fatal("rolled-back compaction left the .compact marker — next open would recover stale state")
-	}
-	if d.Poisoned() != nil {
-		t.Fatalf("rolled-back compaction poisoned the store: %v", d.Poisoned())
-	}
-	if err := d.Append("car", trajectory.S(100, 0, 0)); err != nil {
-		t.Fatalf("append after rollback: %v", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDurableFS(fault.OS, path, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	snap, _ := d2.Snapshot("car")
-	if snap.Len() != 11 {
-		t.Errorf("recovered %d samples, want 11", snap.Len())
-	}
-}
-
-// A crash between completing the replacement and committing it leaves a
-// ".compact" file; recovery must prefer it over the stale old log.
-func TestRecoveryPrefersCompletedCompact(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trips.wal")
-
-	// The stale old log: 10 records.
-	old, err := Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := old.Append(Record{ID: "stale", Sample: trajectory.S(float64(i), 0, 0)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The completed replacement a crash stranded beside it: 3 records.
-	repl, err := Open(path+compactDoneExt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := repl.Append(Record{ID: "fresh", Sample: trajectory.S(float64(i), 1, 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := repl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// And a half-written tmp from some other crash: garbage to discard.
-	if err := os.WriteFile(path+compactTmpExt, []byte("half-written junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := OpenDurable(path, store.Options{Metrics: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if _, ok := d.Snapshot("stale"); ok {
-		t.Error("recovered from the stale log despite a completed .compact")
-	}
-	snap, ok := d.Snapshot("fresh")
-	if !ok || snap.Len() != 3 {
-		t.Fatalf("recovered %d fresh samples, want 3", snap.Len())
-	}
-	if _, err := os.Stat(path + compactDoneExt); !os.IsNotExist(err) {
-		t.Error(".compact marker survived recovery")
-	}
-	if _, err := os.Stat(path + compactTmpExt); !os.IsNotExist(err) {
-		t.Error(".compact.tmp garbage survived recovery")
-	}
-}
-
-// SetSyncEvery must survive compaction's close-and-reopen of the log.
-func TestSyncEverySurvivesCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trips.wal")
-	d, err := OpenDurable(path, store.Options{Metrics: metrics.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.SetSyncEvery(0)
-	if err := d.Append("car", trajectory.S(0, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.log.SyncEvery; got != 0 {
-		t.Errorf("SyncEvery after compaction = %d, want 0", got)
 	}
 }

@@ -203,8 +203,8 @@ func TestGroupCommitSyncFailurePropagatesToAllWaiters(t *testing.T) {
 			t.Fatalf("follower %d acknowledged an append the failed fsync never covered", i)
 		}
 	}
-	if d.Poisoned() == nil {
-		t.Fatal("store not poisoned after group-commit fsync failure")
+	if err := d.Flush(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("flush after group-commit fsync failure = %v, want ErrPoisoned", err)
 	}
 	if err := d.Append("after", trajectory.S(9, 9, 9)); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append after failed group commit = %v, want ErrPoisoned", err)
@@ -285,8 +285,8 @@ func TestDurableAppendBatch(t *testing.T) {
 	if err == nil || n != 1 {
 		t.Fatalf("out-of-order batch = (%d, %v), want (1, error)", n, err)
 	}
-	if d.Poisoned() != nil {
-		t.Fatalf("store rejection poisoned the log: %v", d.Poisoned())
+	if err := d.Flush(); err != nil {
+		t.Fatalf("store rejection poisoned the log: %v", err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)

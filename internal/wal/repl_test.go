@@ -240,9 +240,6 @@ func TestReplicaModeRejectsWrites(t *testing.T) {
 	}
 	defer d.Close()
 	d.SetReplica(true)
-	if !d.Replica() {
-		t.Fatal("Replica() = false after SetReplica(true)")
-	}
 	if err := d.Append("x", trajectory.S(1, 2, 3)); !errors.Is(err, ErrReplica) {
 		t.Errorf("Append in replica mode = %v, want ErrReplica", err)
 	}

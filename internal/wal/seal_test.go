@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/geo"
@@ -23,41 +22,6 @@ func eastbound(t0 float64, n int) trajectory.Trajectory {
 		out[i] = trajectory.S(t0+float64(i)*10, float64(i)*10, 0)
 	}
 	return out
-}
-
-func TestCompactRefusedWhileSealedHistory(t *testing.T) {
-	d, err := OpenDurable(logPath(t), sealOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, s := range eastbound(sealEpoch, 100) {
-		if err := d.Append("car", s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Before anything is sealed, compaction is allowed.
-	if err := d.Compact(); err != nil {
-		t.Fatalf("pre-seal Compact: %v", err)
-	}
-
-	if _, err := d.SealBefore(sealEpoch + 500); err != nil {
-		t.Fatal(err)
-	}
-	if d.SealedPoints() == 0 {
-		t.Fatal("nothing sealed")
-	}
-	// Compaction rewrites the log from hot retained state only; with sealed
-	// history present it must refuse rather than drop that history's sole
-	// durable copy.
-	err = d.Compact()
-	if !errors.Is(err, ErrSealedHistory) {
-		t.Fatalf("Compact with sealed history = %v, want ErrSealedHistory", err)
-	}
-	// The refusal left the log fully usable.
-	if err := d.Append("car", trajectory.S(sealEpoch+1000, 1000, 0)); err != nil {
-		t.Fatalf("append after refused compaction: %v", err)
-	}
 }
 
 func TestColdTierRegeneratesFromWAL(t *testing.T) {

@@ -26,8 +26,8 @@
 // appends cost O(1) fsyncs per round instead of N.
 //
 // All file operations go through an injectable fault.FS, so the
-// fault-injection tests can fail any write, sync, close, or rename — and
-// tear writes at any byte offset — without touching the real disk path.
+// fault-injection tests can fail any write, sync or close — and tear writes
+// at any byte offset — without touching the real disk path.
 package wal
 
 import (
@@ -58,8 +58,8 @@ const (
 // default registry; OpenDurable registers in store.Options.Metrics so an
 // embedded deployment keeps its WAL and store observability together.
 type instruments struct {
-	// records counts records written to the log, including compaction
-	// rewrites — it is a write counter, not a live record count.
+	// records counts records written to the log — a write counter, not a
+	// live record count.
 	records *metrics.Counter
 	// fsync is the latency distribution of the file sync on the flush path,
 	// the dominant cost of the durability guarantee.
@@ -69,8 +69,6 @@ type instruments struct {
 	groupSize *metrics.Histogram
 	// tornTails counts recoveries that truncated a torn or corrupt tail.
 	tornTails *metrics.Counter
-	// compactions counts successful log compactions.
-	compactions *metrics.Counter
 	// ackedOffset is the durable acknowledged byte offset: every byte below
 	// it is covered by a completed fsync. It is what a replication follower
 	// may be streamed and what its ACKs are measured against.
@@ -86,7 +84,6 @@ func newInstruments(r *metrics.Registry) *instruments {
 		fsync:       r.Histogram("wal_fsync_seconds", nil),
 		groupSize:   r.Histogram("wal_group_commit_records", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		tornTails:   r.Counter("wal_torn_tail_recoveries_total"),
-		compactions: r.Counter("wal_compactions_total"),
 		ackedOffset: r.Gauge("wal_acked_offset"),
 	}
 }
@@ -101,10 +98,9 @@ type Record struct {
 // writes go into one buffered writer under the log's lock; durability is
 // provided by the group committer in syncLocked. A write, flush, or sync
 // failure is sticky: the buffer (or the file tail) is torn at an unknown
-// byte, so every later operation fails until the log is rebuilt
-// (DurableStore heals by Compact, which opens a fresh Log).
+// byte, so every later operation fails until the log is reopened, which
+// truncates the torn tail.
 type Log struct {
-	fs   fault.FS
 	path string
 	ins  *instruments
 
@@ -174,7 +170,7 @@ func openLog(fsys fault.FS, path string, apply func(Record) error, ins *instrume
 	// are absolute positions in the log — stable across reopens and directly
 	// comparable between a primary and its replication followers.
 	l := &Log{
-		f: f, fs: fsys, w: bufio.NewWriter(f), path: path, ins: ins, SyncEvery: 64,
+		f: f, w: bufio.NewWriter(f), path: path, ins: ins, SyncEvery: 64,
 		writeSeq: count, syncSeq: count, writeBytes: good, syncBytes: good,
 	}
 	l.synced = sync.NewCond(&l.mu)
@@ -410,25 +406,6 @@ func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.syncLocked(l.writeSeq, true)
-}
-
-// Size returns the current log size in bytes.
-func (l *Log) Size() (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sticky != nil {
-		return 0, l.sticky
-	}
-	if err := l.w.Flush(); err != nil {
-		l.sticky = fmt.Errorf("wal: %w", err)
-		l.synced.Broadcast()
-		return 0, l.sticky
-	}
-	info, err := l.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	return info.Size(), nil
 }
 
 // AckedOffset returns the durable acknowledged byte offset: the log prefix

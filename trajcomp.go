@@ -164,11 +164,6 @@ func NewDouglasPeucker(threshold float64) Algorithm {
 	return compress.DouglasPeucker{Threshold: threshold}
 }
 
-// NewDouglasPeuckerHull returns the convex-hull-accelerated Douglas-Peucker.
-func NewDouglasPeuckerHull(threshold float64) Algorithm {
-	return compress.DouglasPeuckerHull{Threshold: threshold}
-}
-
 // NewNOPW returns the normal opening-window algorithm.
 func NewNOPW(threshold float64) Algorithm { return compress.NOPW{Threshold: threshold} }
 
@@ -222,11 +217,6 @@ func NewTDTRN(n int) Algorithm { return compress.TDTRN{N: n} }
 
 // NewSQUISH returns the SQUISH bounded-buffer online sketch of n points.
 func NewSQUISH(n int) Algorithm { return compress.SQUISH{Capacity: n} }
-
-// NewVisvalingam returns the Visvalingam–Whyatt effective-area baseline.
-func NewVisvalingam(areaThreshold float64) Algorithm {
-	return compress.Visvalingam{AreaThreshold: areaThreshold}
-}
 
 // NewUniform returns the every-K-th-point baseline.
 func NewUniform(k int) Algorithm { return compress.Uniform{K: k} }

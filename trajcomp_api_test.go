@@ -11,14 +11,13 @@ import (
 func TestFacadeAlgorithmsRun(t *testing.T) {
 	p := GenerateTrip(21, Urban, 900)
 	algs := []Algorithm{
-		NewDouglasPeucker(30), NewDouglasPeuckerHull(30),
+		NewDouglasPeucker(30),
 		NewNOPW(30), NewBOPW(30),
 		NewTDTR(30), NewOPWTR(30),
 		NewOPWSP(30, 5), NewTDSP(30, 5),
 		NewBottomUp(30), NewBottomUpTR(30),
 		NewSlidingWindow(30, 10), NewSlidingWindowTR(30, 10),
 		NewDouglasPeuckerN(20), NewTDTRN(20), NewSQUISH(20),
-		NewVisvalingam(500),
 		NewUniform(3), NewRadial(25), NewDeadReckoning(30),
 	}
 	for _, alg := range algs {
