@@ -100,23 +100,12 @@ func BenchmarkFigure11(b *testing.B) {
 // trajectory of the evaluation dataset.
 func BenchmarkAlgorithms(b *testing.B) {
 	p := PaperDataset()[0]
-	algs := []Algorithm{
-		NewUniform(3),
-		NewRadial(50),
-		NewDeadReckoning(50),
-		NewDouglasPeucker(50),
-		NewNOPW(50),
-		NewBOPW(50),
-		NewTDTR(50),
-		NewOPWTR(50),
-		NewOPWSP(50, 5),
-		NewTDSP(50, 5),
-		NewBottomUp(50),
-		NewBottomUpTR(50),
-		NewSlidingWindow(50, 20),
-		NewSlidingWindowTR(50, 20),
-	}
-	for _, alg := range algs {
+	for _, spec := range []string{
+		"uniform:3", "radial:50", "dr:50", "ndp:50", "nopw:50", "bopw:50",
+		"tdtr:50", "opwtr:50", "opwsp:50:5", "tdsp:50:5", "bu:50", "butr:50",
+		"sw:50:20", "swtr:50:20",
+	} {
+		alg := mustParse(b, spec)
 		b.Run(alg.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -131,13 +120,13 @@ func BenchmarkAlgorithms(b *testing.B) {
 func BenchmarkBreakStrategyAblation(b *testing.B) {
 	p := PaperDataset()[0]
 	b.Run("at-violation", func(b *testing.B) {
-		alg := NewOPWTR(50)
+		alg := mustParse(b, "opwtr:50")
 		for i := 0; i < b.N; i++ {
 			alg.Compress(p)
 		}
 	})
 	b.Run("before", func(b *testing.B) {
-		alg := NewBOPW(50)
+		alg := mustParse(b, "bopw:50")
 		for i := 0; i < b.N; i++ {
 			alg.Compress(p)
 		}
@@ -147,7 +136,7 @@ func BenchmarkBreakStrategyAblation(b *testing.B) {
 // BenchmarkAvgError measures the closed-form synchronized error metric.
 func BenchmarkAvgError(b *testing.B) {
 	p := PaperDataset()[0]
-	a := NewTDTR(50).Compress(p)
+	a := mustParse(b, "tdtr:50").Compress(p)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := AvgError(p, a); err != nil {
@@ -159,9 +148,9 @@ func BenchmarkAvgError(b *testing.B) {
 // BenchmarkOnlinePush measures the per-sample cost of online OPW-TR.
 func BenchmarkOnlinePush(b *testing.B) {
 	p := PaperDataset()[0]
+	c := mustOnline(b, "opwtr:50")()
 	b.ReportAllocs()
 	b.ResetTimer()
-	c := NewOnlineOPWTR(50, 0)
 	for i := 0; i < b.N; i++ {
 		s := p[i%p.Len()]
 		if i > 0 && i%p.Len() == 0 {
@@ -262,8 +251,8 @@ func BenchmarkStoreIngest(b *testing.B) {
 		opts StoreOptions
 	}{
 		{"raw", StoreOptions{}},
-		{"opwtr", StoreOptions{NewCompressor: func() Compressor { return NewOnlineOPWTR(50, 0) }}},
-		{"opwsp", StoreOptions{NewCompressor: func() Compressor { return NewOnlineOPWSP(50, 5, 0) }}},
+		{"opwtr", StoreOptions{NewCompressor: mustOnline(b, "opwtr:50")}},
+		{"opwsp", StoreOptions{NewCompressor: mustOnline(b, "opwsp:50:5")}},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

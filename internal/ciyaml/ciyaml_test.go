@@ -438,6 +438,7 @@ func TestCIFuzzJobShape(t *testing.T) {
 		"FuzzWALDecode":               "./internal/wal",
 		"FuzzCommandLine":             "./internal/server",
 		"FuzzFollowerStream":          "./internal/repl",
+		"FuzzPrimaryAck":              "./internal/repl",
 	}
 	include := fuzz.Get("strategy").Get("matrix").Get("include")
 	if include == nil || include.Kind != SeqNode {

@@ -11,9 +11,9 @@ import (
 // what its row allows, and a row may allow only what a non-test file of the
 // package imports, so an edge that lost its last user is a finding and not
 // a standing permission. Only packages under internal/ are constrained; the
-// facade, cmd/ and examples/ trees may import any internal package (the Go
-// toolchain already fences them from other modules). Rows without a package
-// are reported by staleLayerRows.
+// facade and cmd/ trees may import any internal package (the Go toolchain
+// already fences them from other modules). Rows without a package are
+// reported by staleLayerRows.
 func layering(m *Module, p *Package, cfg *Config) []Diagnostic {
 	if !p.Internal() || len(cfg.LayerRules) == 0 {
 		return nil

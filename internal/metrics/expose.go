@@ -38,34 +38,6 @@ func WritePrometheus(w io.Writer, snaps []MetricSnapshot) {
 	}
 }
 
-// WriteText renders snapshots as an aligned human-readable table, with
-// count/mean/p50/p99/max summaries for histograms — the STATS-style view
-// for terminals.
-func WriteText(w io.Writer, snaps []MetricSnapshot) {
-	width := 0
-	for _, m := range snaps {
-		if n := len(m.Name) + len(labelString(m.Labels, "")); n > width {
-			width = n
-		}
-	}
-	for _, m := range snaps {
-		id := m.Name + labelString(m.Labels, "")
-		switch m.Kind {
-		case KindHistogram:
-			mean := 0.0
-			if m.Count > 0 {
-				mean = m.Sum / float64(m.Count)
-			}
-			fmt.Fprintf(w, "%-*s  count=%d mean=%s p50=%s p99=%s max=%s\n",
-				width, id, m.Count,
-				formatValue(mean), formatValue(m.Quantile(0.5)),
-				formatValue(m.Quantile(0.99)), formatValue(m.Max))
-		default:
-			fmt.Fprintf(w, "%-*s  %s\n", width, id, formatValue(m.Value))
-		}
-	}
-}
-
 // labelString renders {k="v",...}; le, when non-empty, is appended as the
 // histogram bucket bound label. Returns "" for no labels.
 func labelString(labels []Label, le string) string {

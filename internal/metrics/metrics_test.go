@@ -188,9 +188,6 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 	if h.Count != 1 || len(h.Buckets) != 3 || !math.IsInf(h.Buckets[2].UpperBound, 1) {
 		t.Errorf("histogram snapshot: count=%d buckets=%v", h.Count, h.Buckets)
 	}
-	if got := h.Quantile(0.5); math.IsNaN(got) || got > 1 {
-		t.Errorf("snapshot Quantile = %v, want within first bucket", got)
-	}
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
@@ -223,19 +220,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 	if strings.Count(got, "# TYPE cmds_total") != 1 {
 		t.Error("family TYPE header repeated")
-	}
-}
-
-func TestWriteTextFormat(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("occupancy").Set(7)
-	r.Histogram("lat_seconds", []float64{1}).Observe(0.5)
-	var b strings.Builder
-	WriteText(&b, r.Snapshot())
-	got := b.String()
-	if !strings.Contains(got, "occupancy") || !strings.Contains(got, "count=1") ||
-		!strings.Contains(got, "p99=") {
-		t.Errorf("text table missing fields:\n%s", got)
 	}
 }
 

@@ -210,25 +210,7 @@ type MetricSnapshot struct {
 	// Histogram state; Buckets is empty for counters and gauges.
 	Count   int64
 	Sum     float64
-	Max     float64
 	Buckets []BucketCount
-}
-
-// Quantile estimates a quantile from the snapshot's buckets (histograms
-// only; NaN otherwise).
-func (m MetricSnapshot) Quantile(q float64) float64 {
-	bounds := make([]float64, 0, len(m.Buckets))
-	counts := make([]int64, 0, len(m.Buckets)+1)
-	for _, b := range m.Buckets {
-		bounds = append(bounds, b.UpperBound)
-		counts = append(counts, b.Count)
-	}
-	if len(bounds) > 0 {
-		// The final snapshot bucket is the +Inf overflow: split it off the
-		// bounds list so bucketQuantile sees finite bounds plus overflow.
-		bounds = bounds[:len(bounds)-1]
-	}
-	return bucketQuantile(bounds, counts, m.Max, q)
 }
 
 // Snapshot captures every instrument, sorted by name then labels. Each
@@ -264,7 +246,6 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			h := e.h
 			m.Count = h.Count()
 			m.Sum = h.Sum()
-			m.Max = h.Max()
 			m.Buckets = make([]BucketCount, len(h.counts))
 			for i := range h.counts {
 				bound := inf

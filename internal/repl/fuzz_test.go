@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -96,6 +98,94 @@ func FuzzFollowerStream(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzPrimaryAck drives the primary's ACK reader — the half of
+// ServeFollower that faces a follower's socket — with arbitrary bytes after
+// the primary has sent its whole log, over net.Pipe. ServeFollower must not
+// panic, must return once the input ends (the fake follower hangs up), and
+// must never record an ACK beyond the bytes it sent.
+func FuzzPrimaryAck(f *testing.F) {
+	seedLog := primaryLog(f, f.TempDir())
+	sent := seedLog.AckedOffset()
+	if err := seedLog.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		fmt.Appendf(nil, "%s%d 3\n", frameAck, sent),
+		fmt.Appendf(nil, "%s%d 3\n", frameAck, sent+1),
+		fmt.Appendf(nil, "%s9223372036854775807 0\n", frameAck),
+		fmt.Appendf(nil, "%s-1 0\n", frameAck),
+		fmt.Appendf(nil, "%s%d 3\n%s%d 2\n", frameAck, sent, frameAck, sent-1),
+		bytes.Repeat([]byte{'7'}, 1<<20), // a line without a newline
+		[]byte("\x00garbage\nACK\n"),
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, input []byte) {
+		d := primaryLog(t, t.TempDir())
+		defer d.Close()
+		p := NewPrimary(d, Options{Mode: AckFollower, PingEvery: time.Hour, Metrics: metrics.NewRegistry()})
+
+		local, remote := net.Pipe()
+		followerDone := make(chan struct{})
+		go func() {
+			defer close(followerDone)
+			defer remote.Close()
+			br := bufio.NewReader(remote)
+			// Take the whole log before acknowledging anything, so the bytes
+			// sent are exactly the log when the input arrives.
+			if _, err := br.ReadString('\n'); err != nil { // OK replicate
+				return
+			}
+			for got := int64(wal.HeaderLen); got < sent; {
+				var n int
+				if _, err := fmt.Fscanf(br, frameData+"%d\n", &n); err != nil {
+					return
+				}
+				if _, err := br.Discard(n); err != nil {
+					return
+				}
+				got += int64(n)
+			}
+			drained := make(chan struct{})
+			go func() {
+				defer close(drained)
+				_, _ = io.Copy(io.Discard, br) // pings, until the pipe closes
+			}()
+			_, _ = remote.Write(input) // fails once the primary hangs up
+			_ = remote.Close()
+			<-drained
+		}()
+		_ = p.ServeFollower(local, bufio.NewReaderSize(local, 4096), bufio.NewWriter(local), 0, 0)
+		<-followerDone
+
+		p.mu.Lock()
+		maxAck := p.maxAck
+		p.mu.Unlock()
+		if maxAck > sent {
+			t.Fatalf("primary recorded ACK %d beyond the %d bytes it sent", maxAck, sent)
+		}
+	})
+}
+
+// primaryLog opens a durable store in dir holding three flushed records.
+func primaryLog(tb testing.TB, dir string) *wal.DurableStore {
+	tb.Helper()
+	d, err := wal.OpenDurable(filepath.Join(dir, "primary.wal"), store.Options{Metrics: metrics.NewRegistry()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := d.Append("car", trajectory.S(float64(i), float64(i), 0)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 // logBytes returns the on-disk record bytes of recs: what a primary streams

@@ -180,10 +180,14 @@ func (p *Primary) WaitReplicated() error {
 }
 
 // followerState is the per-connection ack cursor, written by the connection's
-// ack-reader goroutine and read by its sender loop.
+// ack-reader goroutine and read by its sender loop, and the sender's upper
+// bound on what an ACK may claim.
 type followerState struct {
 	ackBytes atomic.Int64
 	ackSeq   atomic.Uint64
+	// sent is the log offset the stream has reached, published before each
+	// DATA frame is written so an honest ACK never outruns it.
+	sent atomic.Int64
 }
 
 // ServeFollower answers one REPLICATE command: it streams the durable log
@@ -236,18 +240,24 @@ func (p *Primary) ServeFollower(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 	st := &followerState{}
 	st.ackBytes.Store(offset)
 	st.ackSeq.Store(seq)
+	st.sent.Store(offset)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
 		for {
-			line, err := br.ReadString('\n')
+			// ReadSlice bounds the line by br's buffer: an over-long line
+			// fails with bufio.ErrBufferFull and drops the connection.
+			line, err := br.ReadSlice('\n')
 			if err != nil {
 				return
 			}
 			var bytes int64
 			var seq uint64
-			if _, err := fmt.Sscanf(line, frameAck+"%d %d", &bytes, &seq); err != nil {
+			if _, err := fmt.Sscanf(string(line), frameAck+"%d %d", &bytes, &seq); err != nil {
 				return // protocol violation: drop the connection
+			}
+			if bytes < st.ackBytes.Load() || bytes > st.sent.Load() {
+				return // acks what it was never sent, or goes back: drop
 			}
 			st.ackBytes.Store(bytes)
 			st.ackSeq.Store(seq)
@@ -279,6 +289,7 @@ func (p *Primary) ServeFollower(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 			if _, err := f.ReadAt(buf[:n], offset); err != nil {
 				return fail("log read at %d: %v", offset, err)
 			}
+			st.sent.Store(offset + int64(n))
 			_ = conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout))
 			if _, err := fmt.Fprintf(bw, "%s%d\n", frameData, n); err != nil {
 				return err

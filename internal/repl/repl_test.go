@@ -199,6 +199,50 @@ func TestWaitReplicated(t *testing.T) {
 	}
 }
 
+// TestPrimaryRefusesAckBeyondSent: an ACK for bytes the primary never sent
+// drops the connection and does not count as replication, so a following
+// WaitReplicated in AckFollower mode still waits for a real follower.
+func TestPrimaryRefusesAckBeyondSent(t *testing.T) {
+	pReg := metrics.NewRegistry()
+	pStore := openStore(t, pReg)
+	p := NewPrimary(pStore, Options{
+		Mode:       AckFollower,
+		AckTimeout: 200 * time.Millisecond,
+		PingEvery:  20 * time.Millisecond,
+		Metrics:    pReg,
+	})
+	addr := acceptLoop(t, p)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "REPLICATE 0 0\nACK 9223372036854775807 0\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The primary answers OK and then must hang up; a primary that keeps
+	// the stream open keeps pinging until the deadline.
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReader(conn)
+	for {
+		if _, err = br.ReadString('\n'); err != nil {
+			break
+		}
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Error("primary kept the connection after an ACK beyond the bytes it sent")
+	}
+
+	if err := pStore.Append("x", trajectory.S(1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WaitReplicated(); err == nil {
+		t.Fatal("WaitReplicated returned after a forged ACK, with no follower holding the record")
+	}
+}
+
 // TestShedLaggingFollower: in AckPrimary mode a follower that receives the
 // stream but never acknowledges is shed once its lag passes MaxLag, and the
 // primary's ingest keeps making progress throughout.

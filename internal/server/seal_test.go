@@ -89,6 +89,55 @@ func TestServerSealAndTieredQueries(t *testing.T) {
 	}
 }
 
+// TestServerEveryVerbSeesSealedHistory is the wire side of the store's
+// TestEveryVerbSeesSealedHistory, on the store trajserver -seal-eps builds:
+// once SEAL has moved an object's history to the cold tier, POSITION, IDS
+// and STATS still know it, and SNAPSHOT stays hot-only.
+func TestServerEveryVerbSeesSealedHistory(t *testing.T) {
+	const eps = 2
+	addr, shutdown := startServer(t, store.New(store.Options{SealEps: eps}))
+	defer shutdown()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := make(trajectory.Trajectory, 100)
+	for i := range p {
+		p[i] = trajectory.S(sealEpoch+float64(i)*10, float64(i)*10, 0)
+	}
+	if err := c.AppendBatch("car", p); err != nil {
+		t.Fatal(err)
+	}
+	idsBefore, err := c.IDs()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := c.Seal(sealEpoch + 500); err != nil {
+		t.Fatal(err)
+	}
+	if pos, err := c.PositionAt("car", p[10].T); err != nil || pos.Dist(p[10].Pos()) > eps {
+		t.Errorf("half sealed: POSITION = %v, %v; want within %v m of %v", pos, err, eps, p[10].Pos())
+	}
+
+	if _, err := c.Seal(sealEpoch + 1e4); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := c.IDs(); err != nil || strings.Join(ids, ",") != strings.Join(idsBefore, ",") {
+		t.Errorf("all sealed: IDS = %v, %v; before SEAL %v", ids, err, idsBefore)
+	}
+	if pos, err := c.PositionAt("car", p[90].T); err != nil || pos.Dist(p[90].Pos()) > eps {
+		t.Errorf("all sealed: POSITION = %v, %v; want within %v m of %v", pos, err, eps, p[90].Pos())
+	}
+	if stats, err := c.Stats(); err != nil || stats.Objects != 1 || len(stats.PointsPerObject) != 0 {
+		t.Errorf("all sealed: STATS = %+v, %v; want objects=1 and no hot obj lines", stats, err)
+	}
+	if snap, err := c.Snapshot("car"); err == nil {
+		t.Errorf("all sealed: SNAPSHOT = %v, want an error (hot tier only)", snap)
+	}
+}
+
 func TestServerSealDisabled(t *testing.T) {
 	addr, shutdown := startServer(t, store.New(store.Options{}))
 	defer shutdown()

@@ -552,17 +552,16 @@ func (s *Server) publish(id string, smp trajectory.Sample) {
 	s.bus.Publish(id, smp)
 }
 
-// releaseEvictedComps drops per-object feed compressors for objects that no
-// longer exist in the store — without this, a wildcard subscriber with a
-// compression spec leaks a compressor per evicted object forever under
-// fleet churn.
+// releaseEvictedComps drops per-object feed compressors for objects with no
+// hot history left in the store — without this, a wildcard subscriber with
+// a compression spec leaks a compressor per evicted or wholly sealed object
+// forever under fleet churn. (IDs would keep sealed-only objects alive.)
 func (s *Server) releaseEvictedComps() {
-	ids := s.st.IDs()
-	live := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		live[id] = true
-	}
-	s.bus.ReleaseCompressors(func(id string) bool { return live[id] })
+	hot := s.st.Stats().PointsPerObject
+	s.bus.ReleaseCompressors(func(id string) bool {
+		_, ok := hot[id]
+		return ok
+	})
 }
 
 // replRequest carries a validated REPLICATE command from dispatch back to

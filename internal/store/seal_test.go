@@ -274,3 +274,50 @@ func TestRangePointsHotOnly(t *testing.T) {
 		t.Errorf("empty rect returned %v", got)
 	}
 }
+
+// TestEveryVerbSeesSealedHistory: an object whose history is partly or
+// wholly sealed keeps answering the per-object verbs. PositionAt falls back
+// to the cold tier within its error bound (the hot tier wins where both
+// answer), IDs and Stats.Objects count sealed-only objects, and Snapshot
+// stays the hot tier's trajectory.
+func TestEveryVerbSeesSealedHistory(t *testing.T) {
+	const eps = 10
+	st := New(Options{SealEps: eps, Shards: 4, Metrics: metrics.NewRegistry()})
+	var p trajectory.Trajectory
+	for i := 0; i < 100; i++ {
+		p = append(p, trajectory.S(float64(i), float64(i*10), 0))
+	}
+	feed(t, st, "car", p)
+
+	if _, err := st.SealBefore(50); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{10, 49} {
+		pos, ok := st.PositionAt("car", at)
+		if !ok || pos.Dist(geo.Pt(at*10, 0)) > eps {
+			t.Errorf("half sealed: PositionAt(%v) = %v, %t; want within %v m of (%v, 0)", at, pos, ok, eps, at*10)
+		}
+	}
+	if pos, ok := st.PositionAt("car", 75); !ok || !pos.Equal(geo.Pt(750, 0)) {
+		t.Errorf("half sealed: hot PositionAt(75) = %v, %t; want exactly (750, 0)", pos, ok)
+	}
+
+	if _, err := st.SealBefore(1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.IDs(); len(got) != 1 || got[0] != "car" {
+		t.Errorf("all sealed: IDs = %v, want [car]", got)
+	}
+	if pos, ok := st.PositionAt("car", 10); !ok || pos.Dist(geo.Pt(100, 0)) > eps {
+		t.Errorf("all sealed: PositionAt(10) = %v, %t", pos, ok)
+	}
+	if got := st.Query(geo.Rect{Min: geo.Pt(0, -1), Max: geo.Pt(1000, 1)}, 0, 99); len(got) != 1 || got[0] != "car" {
+		t.Errorf("all sealed: Query = %v, want [car]", got)
+	}
+	if s := st.Stats(); s.Objects != 1 || s.SealedPoints == 0 || len(s.PointsPerObject) != 0 {
+		t.Errorf("all sealed: Stats = %+v, want 1 object, sealed points and no hot breakdown", s)
+	}
+	if snap, ok := st.Snapshot("car"); ok {
+		t.Errorf("all sealed: Snapshot = %v, want the empty hot tier", snap)
+	}
+}

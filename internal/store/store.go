@@ -382,8 +382,10 @@ func (st *Store) Retained(id string) (trajectory.Trajectory, bool) {
 
 // Snapshot returns the current queryable trajectory of an object: the
 // retained samples plus, when on-ingest compression is buffering, the most
-// recent raw observation (so the present position is always visible). The
-// boolean is false for unknown objects.
+// recent raw observation (so the present position is always visible). It
+// reads the hot tier only: sealed history is not part of it, and the
+// boolean is false for unknown objects and for objects whose whole history
+// is sealed.
 func (st *Store) Snapshot(id string) (trajectory.Trajectory, bool) {
 	sh := st.shardOf(id)
 	sh.mu.RLock()
@@ -432,11 +434,19 @@ func (obj *object) locAt(t float64) (geo.Point, bool) {
 	return obj.retained.LocAt(t)
 }
 
-// PositionAt returns the interpolated position of the object at time t.
-// The boolean is false for unknown objects or times outside the recorded
-// span.
+// PositionAt returns the interpolated position of the object at time t:
+// from the hot tier where it covers t, else, when sealing is enabled, from
+// the cold tier within its error bound. The boolean is false for unknown
+// objects or times outside the recorded span.
 func (st *Store) PositionAt(id string, t float64) (geo.Point, bool) {
 	defer st.ins.querySeconds["position"].ObserveSince(time.Now())
+	if pos, ok := st.hotPositionAt(id, t); ok || st.cold == nil {
+		return pos, ok
+	}
+	return st.cold.PositionAt(id, t)
+}
+
+func (st *Store) hotPositionAt(id string, t float64) (geo.Point, bool) {
 	sh := st.shardOf(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -447,8 +457,9 @@ func (st *Store) PositionAt(id string, t float64) (geo.Point, bool) {
 	return obj.locAt(t)
 }
 
-// IDs returns the identifiers of all stored objects, sorted. Shards are
-// visited in order; see the package comment for the consistency model.
+// IDs returns the identifiers of all stored objects, sorted, including
+// objects whose whole history is sealed. Shards are visited in order; see
+// the package comment for the consistency model.
 func (st *Store) IDs() []string {
 	var out []string
 	for _, sh := range st.shards {
@@ -459,6 +470,9 @@ func (st *Store) IDs() []string {
 		sh.mu.RUnlock()
 	}
 	sort.Strings(out)
+	if st.cold != nil {
+		out = mergeIDs(out, st.cold.IDs())
+	}
 	return out
 }
 
@@ -693,11 +707,11 @@ func (st *Store) Nearest(q geo.Point, t float64, k int) []Neighbor {
 
 // Stats summarizes storage effectiveness.
 type Stats struct {
-	Objects        int
+	Objects        int     // hot and sealed-only objects
 	RawPoints      int     // observations ingested
 	RetainedPoints int     // points kept after on-ingest compression
 	CompressionPct float64 // % of ingested points discarded
-	// PointsPerObject maps each object ID to its retained point count,
+	// PointsPerObject maps each hot object ID to its retained point count,
 	// captured in the same locked pass as that object's shard totals, so
 	// the breakdown always sums to RetainedPoints.
 	PointsPerObject map[string]int
@@ -716,7 +730,6 @@ func (st *Store) Stats() Stats {
 	s := Stats{PointsPerObject: make(map[string]int)}
 	for _, sh := range st.shards {
 		sh.mu.RLock()
-		s.Objects += len(sh.objects)
 		s.RawPoints += sh.rawPts
 		for id, obj := range sh.objects {
 			n := obj.retained.Len()
@@ -728,7 +741,13 @@ func (st *Store) Stats() Stats {
 	if s.RawPoints > 0 {
 		s.CompressionPct = 100 * float64(s.RawPoints-s.RetainedPoints) / float64(s.RawPoints)
 	}
+	s.Objects = len(s.PointsPerObject)
 	if st.cold != nil {
+		for _, id := range st.cold.IDs() {
+			if _, hot := s.PointsPerObject[id]; !hot {
+				s.Objects++
+			}
+		}
 		s.SealedBlocks = st.cold.Blocks()
 		s.SealedPoints = st.cold.Points()
 		s.SealedBytes = st.cold.CompressedBytes()

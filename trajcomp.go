@@ -14,8 +14,12 @@
 //   - the paper's spatiotemporal algorithms OPW-SP and TD-SP, which add a
 //     speed-difference criterion;
 //   - the follow-on one-pass error-bounded family OPERB and
-//     CISED-S/CISED-W, which decide each point in O(1) time and memory
-//     (NewOPERB, NewCISEDS, NewCISEDW and their online counterparts).
+//     CISED-S/CISED-W, which decide each point in O(1) time and memory.
+//
+// Every algorithm is built from a textual spec such as "tdtr:30" or
+// "opwsp:30:5" (AlgorithmHelp lists the grammar): ParseAlgorithm for batch
+// use, ParseOnline for streams. A spec means the same here, on the
+// trajcompress command line and in trajserver's -compress flag.
 //
 // Compression quality is measured with the paper's time-synchronized average
 // error α(p, a) (AvgError) alongside classic perpendicular measures
@@ -24,22 +28,22 @@
 // Quick start:
 //
 //	p := trajcomp.GenerateTrip(42, trajcomp.Urban, 30*60) // or build your own
-//	a := trajcomp.NewTDTR(30).Compress(p)                 // 30 m tolerance
+//	alg, _ := trajcomp.ParseAlgorithm("tdtr:30")          // 30 m tolerance
+//	a := alg.Compress(p)
 //	e, _ := trajcomp.AvgError(p, a)
 //	fmt.Printf("kept %d of %d points, α = %.1f m\n", a.Len(), p.Len(), e)
 //
 // Subsystems exposed here:
 //
-//   - online compression of live position streams (NewOnlineOPWTR and
-//     friends, Collect, Pipeline — see the stream types);
+//   - online compression of live position streams (ParseOnline, Collect,
+//     Pipeline);
 //   - a moving-object store with on-ingest compression and spatiotemporal
 //     range queries (NewStore), optionally backed by a write-ahead log
 //     (OpenDurableStore), observable through a metrics registry
 //     (NewMetricsRegistry);
 //   - serialization: compact binary (EncodeFile/DecodeFile), CSV and
 //     GeoJSON;
-//   - road networks and HMM map matching (NewRoadGrid, MapMatch,
-//     NewOnlineMatcher);
+//   - road networks and HMM map matching (NewRoadGrid, MapMatch);
 //   - the synthetic GPS workload generator used by the paper reproduction
 //     (GenerateTrip, PaperDataset);
 //   - the experiment harness regenerating the paper's Table 2 and
@@ -155,98 +159,6 @@ func Summarize(p Trajectory) Stats { return trajectory.Summarize(p) }
 // SummarizeDataset computes mean/stddev statistics over trajectories.
 func SummarizeDataset(ps []Trajectory) DatasetStats { return trajectory.SummarizeDataset(ps) }
 
-// Batch compression algorithms (the paper's §2–3). Distance thresholds are
-// in metres; speed thresholds in m/s.
-
-// NewDouglasPeucker returns the classic top-down Douglas-Peucker algorithm
-// (the paper's NDP baseline) with a perpendicular-distance tolerance.
-func NewDouglasPeucker(threshold float64) Algorithm {
-	return compress.DouglasPeucker{Threshold: threshold}
-}
-
-// NewNOPW returns the normal opening-window algorithm.
-func NewNOPW(threshold float64) Algorithm { return compress.NOPW{Threshold: threshold} }
-
-// NewBOPW returns the before-opening-window algorithm.
-func NewBOPW(threshold float64) Algorithm { return compress.BOPW{Threshold: threshold} }
-
-// NewTDTR returns the paper's top-down time-ratio algorithm.
-func NewTDTR(threshold float64) Algorithm { return compress.TDTR{Threshold: threshold} }
-
-// NewOPWTR returns the paper's opening-window time-ratio algorithm.
-func NewOPWTR(threshold float64) Algorithm { return compress.OPWTR{Threshold: threshold} }
-
-// NewOPWSP returns the paper's spatiotemporal opening-window algorithm
-// (pseudocode SPT), combining the synchronized distance and speed-difference
-// criteria.
-func NewOPWSP(distThreshold, speedThreshold float64) Algorithm {
-	return compress.OPWSP{DistThreshold: distThreshold, SpeedThreshold: speedThreshold}
-}
-
-// NewTDSP returns the top-down spatiotemporal algorithm.
-func NewTDSP(distThreshold, speedThreshold float64) Algorithm {
-	return compress.TDSP{DistThreshold: distThreshold, SpeedThreshold: speedThreshold}
-}
-
-// NewBottomUp returns the bottom-up merge algorithm under the perpendicular
-// distance (§2's bottom-up category).
-func NewBottomUp(threshold float64) Algorithm { return compress.BottomUp{Threshold: threshold} }
-
-// NewBottomUpTR returns the bottom-up merge algorithm under the
-// synchronized distance.
-func NewBottomUpTR(threshold float64) Algorithm { return compress.BottomUpTR{Threshold: threshold} }
-
-// NewSlidingWindow returns the fixed-window algorithm with Douglas-Peucker
-// inside each window of the given size (§2's sliding-window category).
-func NewSlidingWindow(threshold float64, window int) Algorithm {
-	return compress.SlidingWindow{Threshold: threshold, Window: window}
-}
-
-// NewSlidingWindowTR returns the fixed-window algorithm with TD-TR inside
-// each window.
-func NewSlidingWindowTR(threshold float64, window int) Algorithm {
-	return compress.SlidingWindowTR{Threshold: threshold, Window: window}
-}
-
-// NewDouglasPeuckerN returns the point-budget Douglas-Peucker: retain the N
-// most shape-relevant points.
-func NewDouglasPeuckerN(n int) Algorithm { return compress.DouglasPeuckerN{N: n} }
-
-// NewTDTRN returns the point-budget top-down time-ratio algorithm.
-func NewTDTRN(n int) Algorithm { return compress.TDTRN{N: n} }
-
-// NewSQUISH returns the SQUISH bounded-buffer online sketch of n points.
-func NewSQUISH(n int) Algorithm { return compress.SQUISH{Capacity: n} }
-
-// NewUniform returns the every-K-th-point baseline.
-func NewUniform(k int) Algorithm { return compress.Uniform{K: k} }
-
-// NewRadial returns the neighbour-elimination baseline.
-func NewRadial(threshold float64) Algorithm { return compress.Radial{Threshold: threshold} }
-
-// NewDeadReckoning returns the dead-reckoning baseline.
-func NewDeadReckoning(threshold float64) Algorithm {
-	return compress.DeadReckoning{Threshold: threshold}
-}
-
-// NewOPERB returns the one-pass error-bounded algorithm (perpendicular
-// distance ≤ threshold, O(1) memory, one pass — arXiv:1702.05597).
-func NewOPERB(threshold float64) Algorithm { return compress.OPERB{Threshold: threshold} }
-
-// NewCISEDS returns the one-pass strong SED simplification (SED ≤
-// threshold, subsequence output — arXiv:1801.05360).
-func NewCISEDS(threshold float64) Algorithm { return compress.CISEDS{Threshold: threshold} }
-
-// NewCISEDW returns the one-pass weak SED simplification: like CISED-S but
-// windows close with synthesized joint points (at input timestamps),
-// trading the subsequence property for a higher compression rate. Detect
-// weak algorithms with IsWeakAlgorithm.
-func NewCISEDW(threshold float64) Algorithm { return compress.CISEDW{Threshold: threshold} }
-
-// IsWeakAlgorithm reports whether alg may synthesize output points rather
-// than returning a vertex subsequence (currently only CISED-W).
-func IsWeakAlgorithm(alg Algorithm) bool { return compress.IsWeak(alg) }
-
 // ParseAlgorithm builds an algorithm from a textual spec such as "tdtr:30"
 // or "opwsp:30:5"; AlgorithmHelp prints the grammar.
 func ParseAlgorithm(spec string) (Algorithm, error) { return compress.Parse(spec) }
@@ -283,44 +195,13 @@ func SyncDistance(p, a, b Sample) float64 { return sed.Distance(p, a, b) }
 // Evaluate measures approximation a of original p under all error metrics.
 func Evaluate(name string, p, a Trajectory) (Report, error) { return quality.Evaluate(name, p, a) }
 
-// Online compression.
-
-// Each online compressor runs the same engine as the batch algorithm of the
-// same name, so its emitted stream equals that algorithm's Compress output.
-// maxWindow caps the buffered window of the opening-window family (0 =
-// unbounded, otherwise ≥ 3).
-
-// NewOnlineOPWTR returns an online OPW-TR compressor.
-func NewOnlineOPWTR(threshold float64, maxWindow int) Compressor {
-	return stream.New(compress.OPWTR{Threshold: threshold, MaxWindow: maxWindow})
-}
-
-// NewOnlineOPWSP returns an online OPW-SP compressor.
-func NewOnlineOPWSP(distThreshold, speedThreshold float64, maxWindow int) Compressor {
-	return stream.New(compress.OPWSP{DistThreshold: distThreshold, SpeedThreshold: speedThreshold, MaxWindow: maxWindow})
-}
-
-// NewOnlineNOPW returns an online NOPW compressor.
-func NewOnlineNOPW(threshold float64, maxWindow int) Compressor {
-	return stream.New(compress.NOPW{Threshold: threshold, MaxWindow: maxWindow})
-}
-
-// NewOnlineDeadReckoning returns an online dead-reckoning compressor.
-func NewOnlineDeadReckoning(threshold float64) Compressor {
-	return stream.New(compress.DeadReckoning{Threshold: threshold})
-}
-
-// NewOnlineOPERB returns the online OPERB compressor: one pass, O(1)
-// memory (no window), every point decided on arrival.
-func NewOnlineOPERB(eps float64) Compressor { return stream.New(compress.OPERB{Threshold: eps}) }
-
-// NewOnlineCISEDS returns the online CISED-S compressor (one-pass strong
-// SED simplification).
-func NewOnlineCISEDS(eps float64) Compressor { return stream.New(compress.CISEDS{Threshold: eps}) }
-
-// NewOnlineCISEDW returns the online CISED-W compressor (one-pass weak SED
-// simplification with synthesized window-closing joints).
-func NewOnlineCISEDW(eps float64) Compressor { return stream.New(compress.CISEDW{Threshold: eps}) }
+// ParseOnline builds an online compressor factory from the spec of an
+// algorithm that runs incrementally: dr, nopw, bopw, opwtr, opwsp, operb,
+// ciseds or cisedw (the -compress list of trajserver -h). Each call of the
+// factory yields a fresh compressor whose emitted stream equals the batch
+// algorithm's Compress output. The factory is nil for "none", which
+// StoreOptions.NewCompressor takes as an uncompressed store.
+func ParseOnline(spec string) (func() Compressor, error) { return stream.ParseFactory(spec) }
 
 // Collect runs an online compressor over a whole trajectory.
 func Collect(c Compressor, p Trajectory) (Trajectory, error) { return stream.Collect(c, p) }
@@ -341,9 +222,6 @@ func OpenDurableStore(path string, opts StoreOptions) (*DurableStore, error) {
 	return wal.OpenDurable(path, opts)
 }
 
-// (Nearest, Query, QueryWithTolerance and EvictBefore are methods on Store;
-// see the store package for their semantics.)
-
 // Observability.
 
 type (
@@ -361,18 +239,6 @@ type (
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// DefaultMetrics returns the process-wide metrics registry — where stores,
-// servers and WALs register unless given an explicit registry.
-func DefaultMetrics() *MetricsRegistry { return metrics.Default() }
-
-// WriteMetricsText renders a registry snapshot as an aligned human-readable
-// table (histograms summarized as count/mean/p50/p99/max).
-func WriteMetricsText(w io.Writer, snaps []MetricSnapshot) { metrics.WriteText(w, snaps) }
-
-// WriteMetricsPrometheus renders a registry snapshot in the Prometheus text
-// exposition format — what trajserver serves at /metrics.
-func WriteMetricsPrometheus(w io.Writer, snaps []MetricSnapshot) { metrics.WritePrometheus(w, snaps) }
 
 // Serialization.
 
@@ -435,9 +301,6 @@ type MatchOptions = mapmatch.Options
 // RoadMatch is the matched road position of one sample.
 type RoadMatch = mapmatch.Match
 
-// NewRoadGraph returns an empty road network.
-func NewRoadGraph() *RoadGraph { return roadnet.NewGraph() }
-
 // NewRoadGrid builds an nx × ny junction grid with the given block length.
 func NewRoadGrid(nx, ny int, block float64) *RoadGraph { return roadnet.Grid(nx, ny, block) }
 
@@ -445,15 +308,6 @@ func NewRoadGrid(nx, ny int, block float64) *RoadGraph { return roadnet.Grid(nx,
 // per-sample matches and the snapped trajectory.
 func MapMatch(g *RoadGraph, p Trajectory, opts MatchOptions) ([]RoadMatch, Trajectory, error) {
 	return mapmatch.Snap(g, p, opts)
-}
-
-// OnlineMatcher is a fixed-lag online map matcher.
-type OnlineMatcher = mapmatch.Matcher
-
-// NewOnlineMatcher returns an online matcher emitting matches lag samples
-// behind the newest input.
-func NewOnlineMatcher(g *RoadGraph, lag int, opts MatchOptions) (*OnlineMatcher, error) {
-	return mapmatch.NewMatcher(g, lag, opts)
 }
 
 // Synthetic workload generation.

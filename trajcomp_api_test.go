@@ -5,32 +5,57 @@ package trajcomp
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
+// Every strong spec (output a vertex subsequence, which Evaluate demands;
+// the weak cisedw runs in TestFacadeParseOnline) compresses and evaluates.
 func TestFacadeAlgorithmsRun(t *testing.T) {
 	p := GenerateTrip(21, Urban, 900)
-	algs := []Algorithm{
-		NewDouglasPeucker(30),
-		NewNOPW(30), NewBOPW(30),
-		NewTDTR(30), NewOPWTR(30),
-		NewOPWSP(30, 5), NewTDSP(30, 5),
-		NewBottomUp(30), NewBottomUpTR(30),
-		NewSlidingWindow(30, 10), NewSlidingWindowTR(30, 10),
-		NewDouglasPeuckerN(20), NewTDTRN(20), NewSQUISH(20),
-		NewUniform(3), NewRadial(25), NewDeadReckoning(30),
-	}
-	for _, alg := range algs {
+	for _, spec := range []string{
+		"ndp:30", "nopw:30", "bopw:30", "tdtr:30", "opwtr:30",
+		"opwsp:30:5", "tdsp:30:5", "bu:30", "butr:30",
+		"sw:30:10", "swtr:30:10", "ndpn:20", "tdtrn:20", "squish:20",
+		"uniform:3", "radial:25", "angular:0.5", "dr:30",
+		"operb:30", "ciseds:30",
+	} {
+		alg := mustParse(t, spec)
 		a := alg.Compress(p)
 		if err := a.Validate(); err != nil {
-			t.Errorf("%s: %v", alg.Name(), err)
+			t.Errorf("%s: %v", spec, err)
 		}
 		if _, err := Evaluate(alg.Name(), p, a); err != nil {
-			t.Errorf("%s: evaluate: %v", alg.Name(), err)
+			t.Errorf("%s: evaluate: %v", spec, err)
 		}
 	}
 	if CompressionRate(100, 25) != 75 {
 		t.Error("CompressionRate wrong")
+	}
+}
+
+// ParseOnline refuses a batch-only spec, yields nil for "none", and its
+// compressors emit what the batch algorithm of the same spec keeps.
+func TestFacadeParseOnline(t *testing.T) {
+	if f, err := ParseOnline("none"); f != nil || err != nil {
+		t.Errorf(`ParseOnline("none") = (factory %t, %v); want (nil, nil)`, f != nil, err)
+	}
+	if _, err := ParseOnline("tdtr:30"); err == nil {
+		t.Error("ParseOnline accepted the batch-only tdtr")
+	}
+	p := GenerateTrip(23, Mixed, 900)
+	for _, spec := range []string{"dr:30", "nopw:30", "opwtr:30:16", "opwsp:30:5", "operb:30", "ciseds:30", "cisedw:30"} {
+		newC, err := ParseOnline(spec)
+		if err != nil {
+			t.Fatalf("ParseOnline(%q): %v", spec, err)
+		}
+		got, err := Collect(newC(), p)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if want := mustParse(t, spec).Compress(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: online kept %d points, batch %d", spec, got.Len(), want.Len())
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func TestEndToEndBatchPipeline(t *testing.T) {
 		t.Fatalf("generated trip invalid: %v", err)
 	}
 
-	alg := NewTDTR(30)
+	alg := mustParse(t, "tdtr:30")
 	a := alg.Compress(p)
 	rep, err := Evaluate(alg.Name(), p, a)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestEndToEndBatchPipeline(t *testing.T) {
 
 func TestEndToEndOnlineStoreQuery(t *testing.T) {
 	st := NewStore(StoreOptions{
-		NewCompressor: func() Compressor { return NewOnlineOPWSP(40, 5, 64) },
+		NewCompressor: mustOnline(t, "opwsp:40:5:64"),
 		CellSize:      500,
 	})
 	p := GenerateTrip(2, Urban, 1200)
@@ -99,7 +99,8 @@ func TestEndToEndPipelineChannel(t *testing.T) {
 	in := make(chan Sample)
 	out := make(chan Sample, p.Len())
 	errc := make(chan error, 1)
-	go func() { errc <- Pipeline(context.Background(), NewOnlineOPWTR(30, 0), in, out) }()
+	c := mustOnline(t, "opwtr:30")()
+	go func() { errc <- Pipeline(context.Background(), c, in, out) }()
 	for _, s := range p {
 		in <- s
 	}
@@ -111,7 +112,7 @@ func TestEndToEndPipelineChannel(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	batch := NewOPWTR(30).Compress(p)
+	batch := mustParse(t, "opwtr:30").Compress(p)
 	if got.Len() != batch.Len() {
 		t.Errorf("pipeline %d points vs batch %d", got.Len(), batch.Len())
 	}
@@ -168,7 +169,7 @@ func TestBuilderViaFacade(t *testing.T) {
 		}
 	}
 	p := b.Trajectory()
-	if CompressionRate(p.Len(), NewUniform(2).Compress(p).Len()) <= 0 {
+	if CompressionRate(p.Len(), mustParse(t, "uniform:2").Compress(p).Len()) <= 0 {
 		t.Error("facade round trip failed")
 	}
 	if _, err := NewTrajectory([]Sample{S(1, 0, 0), S(0, 0, 0)}); err == nil {
@@ -178,4 +179,24 @@ func TestBuilderViaFacade(t *testing.T) {
 	if d < 49 || d > 52 {
 		t.Errorf("SyncDistance = %v, want ≈ sqrt(50²+10²)", d)
 	}
+}
+
+// mustParse returns the batch algorithm of a spec.
+func mustParse(tb testing.TB, spec string) Algorithm {
+	tb.Helper()
+	alg, err := ParseAlgorithm(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return alg
+}
+
+// mustOnline returns the compressor factory of an online spec.
+func mustOnline(tb testing.TB, spec string) func() Compressor {
+	tb.Helper()
+	f, err := ParseOnline(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
 }
