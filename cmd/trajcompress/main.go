@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -100,11 +99,7 @@ func main() {
 	for i, n := range named {
 		trajs[i] = n.Traj
 	}
-	results, err := trajcomp.CompressAll(context.Background(), alg,
-		trajcomp.BatchOptions{Parallelism: *parallel}, trajs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	results := trajcomp.CompressAll(alg, trajcomp.BatchOptions{Parallelism: *parallel}, trajs)
 	compressed := make([]trajcomp.Named, len(named))
 	for i, n := range named {
 		kept := results[i]

@@ -37,7 +37,9 @@
 // tier comes back empty (the WAL is its only source — sealing must never be
 // a durability dependency), the full history is recovered hot, and
 // re-issuing the SEAL rebuilds a cold tier that answers range queries for
-// sealed-era samples within E metres.
+// sealed-era samples within E metres. One extra object, fed three fixes in
+// the first cycle only, becomes sealed-only: IDS must list the same objects
+// right before and right after every SEAL, and after every restart.
 //
 // With -repl, the harness runs TWO trajserver children instead — a primary
 // and a streaming follower (see internal/repl) — and tortures the
@@ -65,6 +67,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -163,6 +166,18 @@ func main() {
 	h := &harness{bin: *bin, addr: *addr, wal: *walPath, sealEps: *sealEps, logPath: serverLog, verbose: *verbose}
 	defer h.stop()
 
+	// With a cold tier, one more object gets three fixes older than any
+	// fleet sample (those start at t ≥ 0) in the first cycle and nothing
+	// after: every SEAL leaves it sealed-only, the case in which IDS must
+	// still list it.
+	checked := objs
+	var retired *object
+	if *sealEps > 0 {
+		retired = &object{id: "veh-retired", traj: trajectory.Trajectory{
+			trajectory.S(-30, 0, 0), trajectory.S(-20, 10, 0), trajectory.S(-10, 20, 0)}}
+		checked = append(objs[:len(objs):len(objs)], retired)
+	}
+
 	totalAcked := 0
 	maxAckedT := 0.0 // newest acknowledged timestamp, the SEAL cut's anchor
 	sealedCut := 0.0 // last cut SEALed mid-cycle; restarts must rebuild it
@@ -171,13 +186,20 @@ func main() {
 		if err != nil {
 			log.Fatalf("cycle %d: starting server: %v", cycle, err)
 		}
-		if err := verify(c, objs); err != nil {
+		if err := verify(c, checked); err != nil {
 			log.Fatalf("cycle %d: RECOVERY VIOLATION: %v", cycle, err)
 		}
 		if *sealEps > 0 && sealedCut > 0 {
-			if err := sealCheck(c, objs, sealedCut, *sealEps); err != nil {
+			if err := sealCheck(c, checked, sealedCut, *sealEps); err != nil {
 				log.Fatalf("cycle %d: COLD TIER VIOLATION: %v", cycle, err)
 			}
+		}
+		if retired != nil && cycle == 1 {
+			if err := c.AppendBatch(retired.id, retired.traj); err != nil {
+				log.Fatalf("cycle %d: append %s: %v", cycle, retired.id, err)
+			}
+			retired.next, retired.acked = retired.traj.Len(), retired.traj.Len()
+			totalAcked += retired.acked
 		}
 
 		killAfter := 1 + rng.Intn(*appends)
@@ -224,8 +246,8 @@ func main() {
 			// existing block chains.
 			if !sealDone && sent >= killAfter/2 {
 				if cut := maxAckedT / 2; cut > sealedCut {
-					if _, err := c.Seal(cut); err != nil {
-						log.Fatalf("cycle %d: SEAL: %v", cycle, err)
+					if err := sealKeepingIDs(c, cut); err != nil {
+						log.Fatalf("cycle %d: %v", cycle, err)
 					}
 					sealedCut = cut
 				}
@@ -253,16 +275,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("final verification: starting server: %v", err)
 	}
-	if err := verify(c, objs); err != nil {
+	if err := verify(c, checked); err != nil {
 		log.Fatalf("final verification: RECOVERY VIOLATION: %v", err)
 	}
 	if *sealEps > 0 && sealedCut > 0 {
-		if err := sealCheck(c, objs, sealedCut, *sealEps); err != nil {
+		if err := sealCheck(c, checked, sealedCut, *sealEps); err != nil {
 			log.Fatalf("final verification: COLD TIER VIOLATION: %v", err)
 		}
 	}
 	recovered := 0
-	for _, o := range objs {
+	for _, o := range checked {
 		recovered += o.acked
 	}
 	if err := h.terminate(); err != nil {
@@ -273,9 +295,23 @@ func main() {
 }
 
 // verify holds the recovered server state against the invariant and
-// advances each object's cursors to the recovered prefix.
+// advances each object's cursors to the recovered prefix. IDS must list
+// every object with an acknowledged append and no object the harness never
+// sent.
 func verify(c *server.Client, objs []*object) error {
+	ids, err := c.IDs()
+	if err != nil {
+		return fmt.Errorf("IDS: %w", err)
+	}
+	for _, id := range ids {
+		if !slices.ContainsFunc(objs, func(o *object) bool { return o.id == id && o.next > 0 }) {
+			return fmt.Errorf("IDS lists %q, an object the harness never sent", id)
+		}
+	}
 	for _, o := range objs {
+		if o.acked > 0 && !slices.Contains(ids, o.id) {
+			return fmt.Errorf("%s: %d acknowledged samples, but IDS does not list it", o.id, o.acked)
+		}
 		snap, err := c.Snapshot(o.id)
 		if err != nil {
 			var remote *server.RemoteError
@@ -321,8 +357,8 @@ func sealCheck(c *server.Client, objs []*object, cut, eps float64) error {
 		return fmt.Errorf("cold tier holds %d points straight after recovery — it must regenerate from the WAL, not persist",
 			stats.SealedPoints)
 	}
-	if _, err := c.Seal(cut); err != nil {
-		return fmt.Errorf("re-seal at %g: %w", cut, err)
+	if err := sealKeepingIDs(c, cut); err != nil {
+		return fmt.Errorf("re-seal: %w", err)
 	}
 	stats, err = c.Stats()
 	if err != nil {
@@ -359,6 +395,29 @@ func sealCheck(c *server.Client, objs []*object, cut, eps float64) error {
 	}
 	if checked == 0 {
 		return fmt.Errorf("no sealed-era samples to check at cut %g — harness bug", cut)
+	}
+	return nil
+}
+
+// sealKeepingIDs SEALs at cut and checks that sealing moved history between
+// tiers without changing which objects the server knows: IDS right after
+// the SEAL equals IDS right before it.
+func sealKeepingIDs(c *server.Client, cut float64) error {
+	before, err := c.IDs()
+	if err != nil {
+		return fmt.Errorf("IDS before SEAL %g: %w", cut, err)
+	}
+	if _, err := c.Seal(cut); err != nil {
+		return fmt.Errorf("SEAL %g: %w", cut, err)
+	}
+	after, err := c.IDs()
+	if err != nil {
+		return fmt.Errorf("IDS after SEAL %g: %w", cut, err)
+	}
+	slices.Sort(before)
+	slices.Sort(after)
+	if !slices.Equal(before, after) {
+		return fmt.Errorf("SEAL %g changed IDS from %v to %v", cut, before, after)
 	}
 	return nil
 }

@@ -237,9 +237,8 @@ func Example_fleetmonitor() {
 		fleetSize    = 25
 		tripDuration = 45 * 60 // seconds
 	)
-	// 40 m of synchronized error, a 5 m/s speed-difference threshold, and a
-	// window of at most 64 fixes (≈ 10 minutes) to cap per-vehicle memory.
-	newCompressor, err := trajcomp.ParseOnline("opwsp:40:5:64")
+	// 40 m of synchronized error and a 5 m/s speed-difference threshold.
+	newCompressor, err := trajcomp.ParseOnline("opwsp:40:5")
 	if err != nil {
 		log.Fatal(err)
 	}

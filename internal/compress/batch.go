@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -16,51 +15,21 @@ type BatchOptions struct {
 	Parallelism int
 }
 
-// workers resolves the effective worker count for n items.
-func (o BatchOptions) workers(n int) int {
-	w := o.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 // CompressAll compresses every trajectory with alg on a bounded worker
 // pool, preserving input order — the batch path for archival jobs over
-// large fleets and for the paper's experiment grid. The paper's algorithms
-// are embarrassingly parallel across objects: one trajectory per worker.
-// Algorithms are pure and value-typed, so one instance is shared safely
-// across workers.
-//
-// Cancelling ctx abandons trajectories not yet started and returns
-// ctx.Err(); in-flight compressions finish first (Compress is not
-// interruptible). On success the result has exactly one output per input,
-// identical to the serial loop's.
-func CompressAll(ctx context.Context, alg Algorithm, opts BatchOptions, ps []trajectory.Trajectory) ([]trajectory.Trajectory, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// large fleets. The paper's algorithms are embarrassingly parallel across
+// objects: one trajectory per worker. Algorithms are pure and value-typed,
+// so one instance is shared safely across workers. The result has exactly
+// one output per input, identical to the serial loop's.
+func CompressAll(alg Algorithm, opts BatchOptions, ps []trajectory.Trajectory) []trajectory.Trajectory {
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	out := make([]trajectory.Trajectory, len(ps))
-	workers := opts.workers(len(ps))
-	if workers <= 1 {
-		for i, p := range ps {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i] = alg.Compress(p)
-		}
-		return out, nil
-	}
-
-	// errgroup-style bounded pool on the stdlib: a dispatch channel feeds
-	// indices to workers; cancellation stops dispatch, workers drain, and
-	// the first context error is returned.
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(ps)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -69,20 +38,10 @@ func CompressAll(ctx context.Context, alg Algorithm, opts BatchOptions, ps []tra
 			}
 		}()
 	}
-	err := func() error {
-		defer close(next)
-		for i := range ps {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
-		return nil
-	}()
-	wg.Wait()
-	if err != nil {
-		return nil, err
+	for i := range ps {
+		next <- i
 	}
-	return out, nil
+	close(next)
+	wg.Wait()
+	return out
 }

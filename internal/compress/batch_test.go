@@ -1,7 +1,6 @@
 package compress
 
 import (
-	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -11,12 +10,10 @@ import (
 
 // countingAlg counts Compress calls and observes peak concurrency.
 type countingAlg struct {
-	inner   Algorithm
-	calls   *atomic.Int64
-	active  *atomic.Int64
-	peak    *atomic.Int64
-	started chan struct{} // non-nil: signal each call start
-	release chan struct{} // non-nil: block each call until closed
+	inner  Algorithm
+	calls  *atomic.Int64
+	active *atomic.Int64
+	peak   *atomic.Int64
 }
 
 func (c countingAlg) Name() string { return "counting(" + c.inner.Name() + ")" }
@@ -32,12 +29,6 @@ func (c countingAlg) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 		}
 	}
 	defer c.active.Add(-1)
-	if c.started != nil {
-		c.started <- struct{}{}
-	}
-	if c.release != nil {
-		<-c.release
-	}
 	return c.inner.Compress(p)
 }
 
@@ -55,10 +46,7 @@ func TestCompressAllBoundsParallelism(t *testing.T) {
 	ps := batchTracks(7, 24)
 	var calls, active, peak atomic.Int64
 	alg := countingAlg{inner: TDTR{Threshold: 40}, calls: &calls, active: &active, peak: &peak}
-	out, err := CompressAll(context.Background(), alg, BatchOptions{Parallelism: 3}, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := CompressAll(alg, BatchOptions{Parallelism: 3}, ps)
 	if len(out) != len(ps) {
 		t.Fatalf("got %d results, want %d", len(out), len(ps))
 	}
@@ -67,57 +55,5 @@ func TestCompressAllBoundsParallelism(t *testing.T) {
 	}
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("peak concurrency %d exceeds Parallelism 3", p)
-	}
-}
-
-// Cancelling the context abandons undispatched work and reports ctx.Err().
-func TestCompressAllCancellation(t *testing.T) {
-	ps := batchTracks(11, 40)
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls, active, peak atomic.Int64
-	started := make(chan struct{}, len(ps))
-	release := make(chan struct{})
-	alg := countingAlg{
-		inner: TDTR{Threshold: 40}, calls: &calls, active: &active, peak: &peak,
-		started: started, release: release,
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := CompressAll(ctx, alg, BatchOptions{Parallelism: 2}, ps)
-		done <- err
-	}()
-	<-started // at least one compression in flight
-	cancel()
-	close(release)
-	if err := <-done; err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls.Load() >= int64(len(ps)) {
-		t.Fatalf("all %d trajectories compressed despite cancellation", len(ps))
-	}
-}
-
-// A pre-cancelled context also stops the serial (Parallelism 1) path.
-func TestCompressAllCancelledSerial(t *testing.T) {
-	ps := batchTracks(13, 5)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CompressAll(ctx, TDTR{Threshold: 40}, BatchOptions{Parallelism: 1}, ps); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// A nil context behaves as context.Background().
-func TestCompressAllNilContext(t *testing.T) {
-	ps := batchTracks(17, 6)
-	out, err := CompressAll(nil, OPWTR{Threshold: 30}, BatchOptions{Parallelism: 2}, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		want := (OPWTR{Threshold: 30}).Compress(p)
-		if out[i].Len() != want.Len() {
-			t.Fatalf("trajectory %d differs from serial result", i)
-		}
 	}
 }

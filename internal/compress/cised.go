@@ -55,7 +55,7 @@ func (a CISEDS) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 }
 
 // NewEngine implements Online.
-func (a CISEDS) NewEngine() Engine { return NewCISEDEngine(a.Threshold, false) }
+func (a CISEDS) NewEngine() Engine { return newCISEDEngine(a.Threshold, false) }
 
 // CISEDW is the weak variant: instead of retaining an input sample on a
 // cut, it closes each window with a point synthesized from the feasible
@@ -81,12 +81,12 @@ func (a CISEDW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 }
 
 // NewEngine implements Online.
-func (a CISEDW) NewEngine() Engine { return NewCISEDEngine(a.Threshold, true) }
+func (a CISEDW) NewEngine() Engine { return newCISEDEngine(a.Threshold, true) }
 
-// CISEDEngine is the Engine of CISED-S and CISED-W. State is O(1) in the
+// cisedEngine is the Engine of CISED-S and CISED-W. State is O(1) in the
 // input: the anchor, at most one pending sample, and the convex
 // feasible-velocity polygon.
-type CISEDEngine struct {
+type cisedEngine struct {
 	eps  float64
 	weak bool
 
@@ -106,16 +106,16 @@ type CISEDEngine struct {
 	out     []trajectory.Sample
 }
 
-// NewCISEDEngine returns a reset engine with SED bound eps (metres); weak
+// newCISEDEngine returns a reset engine with SED bound eps (metres); weak
 // selects CISED-W (synthesized joints) over CISED-S (subsequence).
-func NewCISEDEngine(eps float64, weak bool) *CISEDEngine {
+func newCISEDEngine(eps float64, weak bool) *cisedEngine {
 	validateDistance("CISED", eps)
-	return &CISEDEngine{eps: eps, weak: weak}
+	return &cisedEngine{eps: eps, weak: weak}
 }
 
 // Pending reports how many buffered samples await a retention decision
 // (0 or 1 — the engine's O(1) memory guarantee).
-func (e *CISEDEngine) Pending() int {
+func (e *cisedEngine) Pending() int {
 	if e.open {
 		return 1
 	}
@@ -126,7 +126,7 @@ func (e *CISEDEngine) Pending() int {
 // definite. The returned slice is only valid until the next call. Callers
 // must feed strictly increasing timestamps (the stream wrapper enforces
 // this; the velocity mapping divides by the time gap).
-func (e *CISEDEngine) Push(s trajectory.Sample) []trajectory.Sample {
+func (e *cisedEngine) Push(s trajectory.Sample) []trajectory.Sample {
 	e.out = e.out[:0]
 	if !e.started {
 		e.started = true
@@ -142,7 +142,7 @@ func (e *CISEDEngine) Push(s trajectory.Sample) []trajectory.Sample {
 	return e.out
 }
 
-func (e *CISEDEngine) pushStrong(s trajectory.Sample) {
+func (e *cisedEngine) pushStrong(s trajectory.Sample) {
 	w, r := e.velocity(s)
 	if !e.open {
 		e.resetRegion(w, r)
@@ -165,7 +165,7 @@ func (e *CISEDEngine) pushStrong(s trajectory.Sample) {
 	e.last = s
 }
 
-func (e *CISEDEngine) pushWeak(s trajectory.Sample) {
+func (e *cisedEngine) pushWeak(s trajectory.Sample) {
 	w, r := e.velocity(s)
 	if !e.open {
 		e.resetRegion(w, r)
@@ -192,7 +192,7 @@ func (e *CISEDEngine) pushWeak(s trajectory.Sample) {
 // Flush terminates the stream, closing any open window (the strong engine
 // emits the pending input sample; the weak engine synthesizes the closing
 // joint at the newest covered timestamp) and resetting for reuse.
-func (e *CISEDEngine) Flush() []trajectory.Sample {
+func (e *cisedEngine) Flush() []trajectory.Sample {
 	e.out = e.out[:0]
 	if e.open {
 		if e.weak {
@@ -213,7 +213,7 @@ func (e *CISEDEngine) Flush() []trajectory.Sample {
 // coordinate ulp (stationary ε=0 or huge time gaps); the floor relaxes the
 // bound by at most ~1e-9·(|Pᵢ−Pₐ| + tᵢ−tₐ) metres — sub-millimetre at
 // continental coordinate scales.
-func (e *CISEDEngine) velocity(s trajectory.Sample) (geo.Point, float64) {
+func (e *cisedEngine) velocity(s trajectory.Sample) (geo.Point, float64) {
 	dt := s.T - e.anchor.T
 	w := geo.Pt((s.X-e.anchor.X)/dt, (s.Y-e.anchor.Y)/dt)
 	r := e.eps / dt
@@ -226,21 +226,21 @@ func (e *CISEDEngine) velocity(s trajectory.Sample) (geo.Point, float64) {
 // diskPoly writes the inscribed regular polygon of the disk into e.poly.
 // Vertices lie on the circle, so the polygon under-approximates the disk
 // and the running intersection is conservative.
-func (e *CISEDEngine) diskPoly(w geo.Point, r float64) []geo.Point {
+func (e *cisedEngine) diskPoly(w geo.Point, r float64) []geo.Point {
 	for i, u := range cisedUnit {
 		e.poly[i] = geo.Pt(w.X+r*u.X, w.Y+r*u.Y)
 	}
 	return e.poly[:]
 }
 
-func (e *CISEDEngine) resetRegion(w geo.Point, r float64) {
+func (e *cisedEngine) resetRegion(w geo.Point, r float64) {
 	e.region = append(e.region[:0], e.diskPoly(w, r)...)
 	e.open = true
 }
 
 // representative returns a point inside the (non-empty convex) region: the
 // vertex centroid.
-func (e *CISEDEngine) representative() geo.Point {
+func (e *cisedEngine) representative() geo.Point {
 	var cx, cy float64
 	for _, p := range e.region {
 		cx += p.X
@@ -252,14 +252,14 @@ func (e *CISEDEngine) representative() geo.Point {
 
 // synth materializes the velocity v as the window-closing sample at the
 // newest covered timestamp.
-func (e *CISEDEngine) synth(v geo.Point) trajectory.Sample {
+func (e *cisedEngine) synth(v geo.Point) trajectory.Sample {
 	dt := e.lastT - e.anchor.T
 	return trajectory.S(e.lastT, e.anchor.X+v.X*dt, e.anchor.Y+v.Y*dt)
 }
 
 // clipRegion intersects e.region with the convex CCW polygon poly in place
 // (Sutherland–Hodgman half-plane clipping). The result may be empty.
-func (e *CISEDEngine) clipRegion(poly []geo.Point) {
+func (e *cisedEngine) clipRegion(poly []geo.Point) {
 	cur, next := e.region, e.scratch
 	for i := 0; i < len(poly) && len(cur) > 0; i++ {
 		a, b := poly[i], poly[(i+1)%len(poly)]

@@ -37,11 +37,11 @@ func (a OPERB) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 }
 
 // NewEngine implements Online.
-func (a OPERB) NewEngine() Engine { return NewOPERBEngine(a.Threshold) }
+func (a OPERB) NewEngine() Engine { return newOPERBEngine(a.Threshold) }
 
-// OPERBEngine is the Engine of OPERB. State is O(1): the anchor, one
+// operbEngine is the Engine of OPERB. State is O(1): the anchor, one
 // tentative endpoint, and the feasible direction interval.
-type OPERBEngine struct {
+type operbEngine struct {
 	eps float64
 
 	started bool
@@ -64,15 +64,15 @@ type OPERBEngine struct {
 	out []trajectory.Sample
 }
 
-// NewOPERBEngine returns a reset engine with error bound eps (metres).
-func NewOPERBEngine(eps float64) *OPERBEngine {
+// newOPERBEngine returns a reset engine with error bound eps (metres).
+func newOPERBEngine(eps float64) *operbEngine {
 	validateDistance("OPERB", eps)
-	return &OPERBEngine{eps: eps}
+	return &operbEngine{eps: eps}
 }
 
 // Pending reports how many buffered samples await a retention decision
 // (0 or 1 — the engine's O(1) memory guarantee).
-func (e *OPERBEngine) Pending() int {
+func (e *operbEngine) Pending() int {
 	if e.hasLast {
 		return 1
 	}
@@ -83,7 +83,7 @@ func (e *OPERBEngine) Pending() int {
 // definite. The returned slice is only valid until the next call. Callers
 // must feed strictly increasing timestamps (internal/stream enforces this);
 // OPERB itself only uses positions.
-func (e *OPERBEngine) Push(s trajectory.Sample) []trajectory.Sample {
+func (e *operbEngine) Push(s trajectory.Sample) []trajectory.Sample {
 	e.out = e.out[:0]
 	if !e.started {
 		e.started = true
@@ -106,7 +106,7 @@ func (e *OPERBEngine) Push(s trajectory.Sample) []trajectory.Sample {
 
 // fit tries to accept s as the tentative endpoint of the current window,
 // updating the direction interval on success.
-func (e *OPERBEngine) fit(s trajectory.Sample) bool {
+func (e *operbEngine) fit(s trajectory.Sample) bool {
 	dx, dy := s.X-e.anchor.X, s.Y-e.anchor.Y
 	l := math.Hypot(dx, dy)
 	if l <= e.eps {
@@ -146,7 +146,7 @@ func (e *OPERBEngine) fit(s trajectory.Sample) bool {
 // Flush terminates the stream, emitting the pending endpoint (the final
 // input sample, when any input followed the last emission) and resetting
 // the engine for reuse.
-func (e *OPERBEngine) Flush() []trajectory.Sample {
+func (e *operbEngine) Flush() []trajectory.Sample {
 	e.out = e.out[:0]
 	if e.hasLast {
 		e.out = append(e.out, e.last)

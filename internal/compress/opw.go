@@ -43,11 +43,6 @@ type NOPW struct {
 	// DropTail reproduces the raw tail-losing behaviour of Fig. 2 when set;
 	// by default the final point is retained.
 	DropTail bool
-	// MaxWindow caps the buffered window (0 = unbounded, otherwise ≥ 3):
-	// when the window outgrows it, the sample before the float is retained
-	// to bound the memory of an online run. It changes the output, so it is
-	// part of the algorithm's definition, batch or online.
-	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -60,7 +55,7 @@ func (a NOPW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 
 // NewEngine implements Online.
 func (a NOPW) NewEngine() Engine {
-	return newOPWEngine("NOPW", a.Threshold, BreakAtViolation, a.DropTail, a.MaxWindow,
+	return newOPWEngine("NOPW", a.Threshold, BreakAtViolation, a.DropTail,
 		func(w []trajectory.Sample, i int) bool {
 			return geo.Seg(w[0].Pos(), w[len(w)-1].Pos()).PerpDist(w[i].Pos()) > a.Threshold
 		})
@@ -73,8 +68,6 @@ type BOPW struct {
 	Threshold float64
 	// DropTail reproduces the raw tail-losing behaviour of Fig. 3 when set.
 	DropTail bool
-	// MaxWindow caps the buffered window; see NOPW.
-	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -90,7 +83,7 @@ func (a BOPW) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 // helper is compiled without inlining its own calls, which cost the scan
 // 50 % in BenchmarkAlgorithms.
 func (a BOPW) NewEngine() Engine {
-	return newOPWEngine("BOPW", a.Threshold, BreakBefore, a.DropTail, a.MaxWindow,
+	return newOPWEngine("BOPW", a.Threshold, BreakBefore, a.DropTail,
 		func(w []trajectory.Sample, i int) bool {
 			return geo.Seg(w[0].Pos(), w[len(w)-1].Pos()).PerpDist(w[i].Pos()) > a.Threshold
 		})
@@ -107,8 +100,6 @@ type OPWTR struct {
 	Strategy BreakStrategy
 	// DropTail disables the keep-last countermeasure when set.
 	DropTail bool
-	// MaxWindow caps the buffered window; see NOPW.
-	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -121,7 +112,7 @@ func (a OPWTR) Compress(p trajectory.Trajectory) trajectory.Trajectory {
 
 // NewEngine implements Online.
 func (a OPWTR) NewEngine() Engine {
-	return newOPWEngine("OPWTR", a.Threshold, a.Strategy, a.DropTail, a.MaxWindow,
+	return newOPWEngine("OPWTR", a.Threshold, a.Strategy, a.DropTail,
 		func(w []trajectory.Sample, i int) bool {
 			return sed.Distance(w[i], w[0], w[len(w)-1]) > a.Threshold
 		})
@@ -141,8 +132,6 @@ type OPWSP struct {
 	SpeedThreshold float64
 	// DropTail disables the keep-last countermeasure when set.
 	DropTail bool
-	// MaxWindow caps the buffered window; see NOPW.
-	MaxWindow int
 }
 
 // Name implements Algorithm.
@@ -158,7 +147,7 @@ func (a OPWSP) NewEngine() Engine {
 	if a.SpeedThreshold <= 0 {
 		panic(fmt.Sprintf("compress: OPWSP: non-positive speed threshold %v", a.SpeedThreshold))
 	}
-	return newOPWEngine("OPWSP", a.DistThreshold, BreakAtViolation, a.DropTail, a.MaxWindow,
+	return newOPWEngine("OPWSP", a.DistThreshold, BreakAtViolation, a.DropTail,
 		func(w []trajectory.Sample, i int) bool {
 			if sed.Distance(w[i], w[0], w[len(w)-1]) > a.DistThreshold {
 				return true

@@ -12,12 +12,10 @@ import (
 type row struct {
 	name string
 	// args is the argument grammar as it appears in help texts: one letter
-	// per colon-separated argument (see checkArg), with an optional trailing
-	// window cap written "[:W]".
+	// per colon-separated argument (see checkArg).
 	args string
 	doc  string
-	// build receives one value per letter of args; an omitted optional
-	// argument is 0.
+	// build receives one value per letter of args.
 	build func(a []float64) Algorithm
 }
 
@@ -32,18 +30,16 @@ var table = []row{
 		func(a []float64) Algorithm { return DeadReckoning{Threshold: a[0]} }},
 	{"ndp", "D", "Douglas-Peucker, perpendicular tolerance D metres",
 		func(a []float64) Algorithm { return DouglasPeucker{Threshold: a[0]} }},
-	{"nopw", "D[:W]", "normal opening window (W: optional window cap in points, 0 = unbounded)",
-		func(a []float64) Algorithm { return NOPW{Threshold: a[0], MaxWindow: int(a[1])} }},
-	{"bopw", "D[:W]", "before opening window",
-		func(a []float64) Algorithm { return BOPW{Threshold: a[0], MaxWindow: int(a[1])} }},
+	{"nopw", "D", "normal opening window",
+		func(a []float64) Algorithm { return NOPW{Threshold: a[0]} }},
+	{"bopw", "D", "before opening window",
+		func(a []float64) Algorithm { return BOPW{Threshold: a[0]} }},
 	{"tdtr", "D", "top-down time ratio",
 		func(a []float64) Algorithm { return TDTR{Threshold: a[0]} }},
-	{"opwtr", "D[:W]", "opening-window time ratio",
-		func(a []float64) Algorithm { return OPWTR{Threshold: a[0], MaxWindow: int(a[1])} }},
-	{"opwsp", "D:V[:W]", "opening-window spatiotemporal, speed tolerance V m/s",
-		func(a []float64) Algorithm {
-			return OPWSP{DistThreshold: a[0], SpeedThreshold: a[1], MaxWindow: int(a[2])}
-		}},
+	{"opwtr", "D", "opening-window time ratio",
+		func(a []float64) Algorithm { return OPWTR{Threshold: a[0]} }},
+	{"opwsp", "D:V", "opening-window spatiotemporal, speed tolerance V m/s",
+		func(a []float64) Algorithm { return OPWSP{DistThreshold: a[0], SpeedThreshold: a[1]} }},
 	{"tdsp", "D:V", "top-down spatiotemporal",
 		func(a []float64) Algorithm { return TDSP{DistThreshold: a[0], SpeedThreshold: a[1]} }},
 	{"bu", "D", "bottom-up, perpendicular tolerance D metres",
@@ -68,29 +64,19 @@ var table = []row{
 		func(a []float64) Algorithm { return CISEDW{Threshold: a[0]} }},
 }
 
-// letters returns one letter per argument of r, and whether the last one
-// is optional.
-func (r row) letters() (letters string, optional bool) {
-	required, optional := strings.CutSuffix(r.args, "[:W]")
-	letters = strings.ReplaceAll(required, ":", "")
-	if optional {
-		letters += "W"
-	}
-	return letters, optional
-}
+// letters returns one letter per argument of r.
+func (r row) letters() string { return strings.ReplaceAll(r.args, ":", "") }
 
 // online reports whether r's algorithm can run incrementally.
 func (r row) online() bool {
-	letters, _ := r.letters()
-	_, ok := r.build(make([]float64, len(letters))).(Online)
+	_, ok := r.build(make([]float64, len(r.letters()))).(Online)
 	return ok
 }
 
 // checkArg validates v against its argument letter: D, A (distance, angle
 // or area tolerance) ≥ 0; V (speed tolerance) > 0; K (stride) an integer
-// ≥ 1; N (point budget) an integer ≥ 2; W (window) an integer ≥ 3, or 0
-// for "unbounded" where the window is an optional cap.
-func checkArg(letter byte, v float64, optional bool) error {
+// ≥ 1; N (point budget) an integer ≥ 2; W (window) an integer ≥ 3.
+func checkArg(letter byte, v float64) error {
 	//lint:allow floatcmp integrality check on a parsed numeric flag
 	integer := v == float64(int(v))
 	switch letter {
@@ -107,11 +93,7 @@ func checkArg(letter byte, v float64, optional bool) error {
 			return errors.New("point budget must be an integer ≥ 2")
 		}
 	case 'W':
-		//lint:allow floatcmp zero sentinel on a parsed window flag
-		if !integer || (v < 3 && !(optional && v == 0)) {
-			if optional {
-				return errors.New("window must be 0 or an integer ≥ 3")
-			}
+		if !integer || v < 3 {
 			return errors.New("window must be an integer ≥ 3")
 		}
 	default:
@@ -149,9 +131,7 @@ func Help(online bool) string {
 
 // Parse builds an Algorithm from a compact textual spec "name:arg:…", as
 // used by the command-line tools and the server; Help prints the grammar.
-// Names are case-insensitive and whitespace around fields is ignored. W in
-// brackets is an optional window cap for the opening-window family
-// (default 0 = unbounded).
+// Names are case-insensitive and whitespace around fields is ignored.
 func Parse(spec string) (Algorithm, error) {
 	parts := strings.Split(spec, ":")
 	name := strings.ToLower(strings.TrimSpace(parts[0]))
@@ -160,19 +140,15 @@ func Parse(spec string) (Algorithm, error) {
 		if r.name != name {
 			continue
 		}
-		letters, optional := r.letters()
-		required := len(letters)
-		if optional {
-			required--
-		}
-		if len(args) < required || len(args) > len(letters) {
+		letters := r.letters()
+		if len(args) != len(letters) {
 			return nil, fmt.Errorf("compress: spec %q: want %s:%s, got %d argument(s)", spec, name, r.args, len(args))
 		}
 		vals := make([]float64, len(letters))
 		for i, arg := range args {
 			v, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
 			if err == nil {
-				err = checkArg(letters[i], v, optional && i == len(letters)-1)
+				err = checkArg(letters[i], v)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("compress: spec %q: argument %d: %w", spec, i+1, err)

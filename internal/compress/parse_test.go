@@ -32,9 +32,6 @@ func TestParseValidSpecs(t *testing.T) {
 		{"operb:30", "OPERB"},
 		{"ciseds:30", "CISED-S"},
 		{"cisedw:30", "CISED-W"},
-		{"opwtr:30:16", "OPW-TR"}, // optional window cap
-		{"opwsp:30:5:16", "OPW-SP(5m/s)"},
-		{"bopw:30:0", "BOPW"},      // 0 = unbounded
 		{"TDTR:30", "TD-TR"},       // case-insensitive
 		{" opwtr : 30 ", "OPW-TR"}, // whitespace-tolerant
 	}
@@ -65,11 +62,11 @@ func TestParseInvalidSpecs(t *testing.T) {
 		"uniform:2.5", // non-integer stride
 		"sw:30",       // missing window
 		"sw:30:2",     // window < 3
-		"sw:30:0",     // 0 only means "unbounded" for an optional cap
-		"nopw:30:2",   // window cap < 3
-		"nopw:30:3.5", // non-integer window cap
-		"opwsp:30:5:2",
-		"dr:30:5",     // dr takes no window
+		"sw:30:0",     // window < 3
+		"opwtr:30:64", // the opening-window cap is a constant, not an argument
+		"nopw:30:0",
+		"opwsp:30:5:64",
+		"dr:30:5",     // too many args
 		"none",        // "none" is the server's word, not an algorithm
 		"swtr:30:2.5", // non-integer window
 		"butr:-1",     // negative threshold
@@ -107,7 +104,7 @@ func TestParsedAlgorithmsRun(t *testing.T) {
 
 // Every help line, with its argument letters replaced by sample values,
 // parses to the algorithm its row builds — so the grammar shown to users is
-// the grammar Parse accepts, optional window cap included.
+// the grammar Parse accepts.
 func TestHelpRoundTripsThroughParse(t *testing.T) {
 	values := map[string]float64{"D": 30, "A": 0.3, "V": 5, "K": 3, "N": 40, "W": 8}
 	lines := strings.Split(Help(false), "\n")
@@ -115,8 +112,7 @@ func TestHelpRoundTripsThroughParse(t *testing.T) {
 		t.Fatalf("Help has %d lines for %d table rows", len(lines), len(table))
 	}
 	for i, r := range table {
-		grammar, capped := strings.CutSuffix(strings.Fields(lines[i])[0], "[:W]")
-		parts := strings.Split(grammar, ":")
+		parts := strings.Split(strings.Fields(lines[i])[0], ":")
 		if parts[0] != r.name || !strings.HasSuffix(lines[i], r.doc) {
 			t.Errorf("help line %d = %q, want row %s", i, lines[i], r.name)
 		}
@@ -130,21 +126,12 @@ func TestHelpRoundTripsThroughParse(t *testing.T) {
 			parts[j+1] = fmt.Sprint(v)
 		}
 		spec := strings.Join(parts, ":")
-		if capped {
-			checkParse(t, spec, r.build(append(vals[:len(vals):len(vals)], 0)))
-			spec, vals = spec+":8", append(vals, 8)
+		got, err := Parse(spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		} else if want := r.build(vals); got != want {
+			t.Errorf("Parse(%q) = %#v, want %#v", spec, got, want)
 		}
-		checkParse(t, spec, r.build(vals))
-	}
-}
-
-func checkParse(t *testing.T, spec string, want Algorithm) {
-	t.Helper()
-	got, err := Parse(spec)
-	if err != nil {
-		t.Errorf("Parse(%q): %v", spec, err)
-	} else if got != want {
-		t.Errorf("Parse(%q) = %#v, want %#v", spec, got, want)
 	}
 }
 

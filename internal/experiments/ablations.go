@@ -62,7 +62,7 @@ func BudgetFigure() Figure {
 	mk := func(name string, alg func(n int) compress.Algorithm) Series {
 		s := Series{Name: name, Thresholds: budgets}
 		for _, b := range budgets {
-			comp, errAvg := runPoint(budgetAdapter{alg(int(b))})
+			comp, errAvg := runPoint(Dataset(), budgetAdapter{alg(int(b))})
 			s.Compression = append(s.Compression, comp)
 			s.Error = append(s.Error, errAvg)
 		}

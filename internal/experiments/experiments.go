@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -71,43 +70,15 @@ type Factory struct {
 	New  func(distThreshold float64) compress.Algorithm
 }
 
-// GridOptions configures SweepGrid's worker pool.
-type GridOptions struct {
-	// Parallelism bounds the number of grid cells evaluated concurrently
-	// (one cell = one algorithm at one threshold over the whole dataset);
-	// values ≤ 0 select the package default (see SetDefaultGridParallelism),
-	// which itself defaults to GOMAXPROCS.
-	Parallelism int
-	// CellParallelism is handed to compress.CompressAll as the per-cell
-	// trajectory worker bound; values ≤ 0 compress each cell's trajectories
-	// serially (the grid-level fan-out already saturates the CPUs; raise
-	// this only for few-cell sweeps over large fleets).
-	CellParallelism int
-}
-
-// defaultGridPar is the pool width the convenience wrappers (Sweep, SweepOn,
-// SweepAll and the Figure regenerators) use; ≤ 0 means GOMAXPROCS.
+// defaultGridPar is the number of grid cells a sweep evaluates at once;
+// ≤ 0 means GOMAXPROCS.
 var defaultGridPar atomic.Int64
 
-// SetDefaultGridParallelism sets the worker-pool width used when
-// GridOptions.Parallelism is not supplied explicitly; n ≤ 0 restores the
-// GOMAXPROCS default. It exists for cmd/experiments' -parallel flag and
-// should be set before sweeps start.
+// SetDefaultGridParallelism sets the number of grid cells (one algorithm at
+// one threshold over the whole dataset) a sweep evaluates at once; n ≤ 0
+// restores the GOMAXPROCS default. It exists for cmd/experiments' -parallel
+// flag and should be set before sweeps start.
 func SetDefaultGridParallelism(n int) { defaultGridPar.Store(int64(n)) }
-
-func (o GridOptions) workers(cells int) int {
-	w := o.Parallelism
-	if w <= 0 {
-		w = int(defaultGridPar.Load())
-	}
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cells {
-		w = cells
-	}
-	return w
-}
 
 // Sweep runs one algorithm family over all thresholds and the standard
 // dataset.
@@ -116,37 +87,19 @@ func Sweep(f Factory) Series { return SweepOn(Dataset(), f) }
 // SweepOn runs one algorithm family over all thresholds and an arbitrary
 // dataset — used by robustness checks that re-run the evaluation on
 // different synthetic seeds.
-func SweepOn(ds []trajectory.Trajectory, f Factory) Series {
-	out, err := SweepGrid(context.Background(), ds, []Factory{f}, GridOptions{})
-	if err != nil {
-		panic(err) // unreachable: the background context is never cancelled
-	}
-	return out[0]
-}
+func SweepOn(ds []trajectory.Trajectory, f Factory) Series { return sweep(ds, []Factory{f})[0] }
 
 // SweepAll runs several families over the standard dataset on one shared
 // worker pool (the sweeps are pure and the dataset is read-only),
 // preserving input order in the result.
-func SweepAll(fs ...Factory) []Series {
-	out, err := SweepGrid(context.Background(), Dataset(), fs, GridOptions{})
-	if err != nil {
-		panic(err) // unreachable: the background context is never cancelled
-	}
-	return out
-}
+func SweepAll(fs ...Factory) []Series { return sweep(Dataset(), fs) }
 
-// SweepGrid evaluates the full (factory × threshold) grid of the paper's
+// sweep evaluates the full (factory × threshold) grid of the paper's
 // evaluation — e.g. 10 trajectories × 15 thresholds × several algorithm
-// families — on a bounded worker pool: the algorithms are embarrassingly
-// parallel across grid cells, so cells are dispatched errgroup-style to
-// Parallelism workers. Per-cell compression flows through
-// compress.CompressAll. Cancelling ctx abandons cells not yet started and
-// returns ctx.Err(); otherwise one Series per factory is returned in input
-// order.
-func SweepGrid(ctx context.Context, ds []trajectory.Trajectory, fs []Factory, opts GridOptions) ([]Series, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// families. The algorithms are embarrassingly parallel across grid cells,
+// so cells are handed to a bounded worker pool (SetDefaultGridParallelism);
+// one Series per factory is returned in input order.
+func sweep(ds []trajectory.Trajectory, fs []Factory) []Series {
 	ths := Thresholds()
 	out := make([]Series, len(fs))
 	for i, f := range fs {
@@ -159,97 +112,37 @@ func SweepGrid(ctx context.Context, ds []trajectory.Trajectory, fs []Factory, op
 	}
 
 	type cell struct{ fi, ti int }
-	cells := make([]cell, 0, len(fs)*len(ths))
-	for fi := range fs {
-		for ti := range ths {
-			cells = append(cells, cell{fi, ti})
-		}
+	workers := int(defaultGridPar.Load())
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	run := func(c cell) error {
-		comp, errAvg, err := runPointCtx(ctx, ds, fs[c.fi].New(ths[c.ti]), opts.CellParallelism)
-		if err != nil {
-			return err
-		}
-		out[c.fi].Compression[c.ti] = comp
-		out[c.fi].Error[c.ti] = errAvg
-		return nil
-	}
-
-	workers := opts.workers(len(cells))
-	if workers <= 1 {
-		for _, c := range cells {
-			if err := run(c); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-
 	next := make(chan cell)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	for w := 0; w < workers; w++ {
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(fs)*len(ths)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for c := range next {
-				if err := run(c); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
+				out[c.fi].Compression[c.ti], out[c.fi].Error[c.ti] = runPoint(ds, fs[c.fi].New(ths[c.ti]))
 			}
 		}()
 	}
-	dispatchErr := func() error {
-		defer close(next)
-		for _, c := range cells {
-			select {
-			case next <- c:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
+	for fi := range fs {
+		for ti := range ths {
+			next <- cell{fi, ti}
 		}
-		return nil
-	}()
+	}
+	close(next)
 	wg.Wait()
-	if dispatchErr != nil {
-		return nil, dispatchErr
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return out
 }
 
-// runPoint compresses every dataset trajectory with alg and returns the
-// mean compression percentage and mean synchronized error.
-func runPoint(alg compress.Algorithm) (compPct, errAvg float64) {
-	return runPointOn(Dataset(), alg)
-}
-
-func runPointOn(ds []trajectory.Trajectory, alg compress.Algorithm) (compPct, errAvg float64) {
-	compPct, errAvg, err := runPointCtx(context.Background(), ds, alg, 1)
-	if err != nil {
-		panic(err) // unreachable: the background context is never cancelled
-	}
-	return compPct, errAvg
-}
-
-// runPointCtx evaluates one grid cell: it batch-compresses the dataset with
-// alg (compress.CompressAll, cellPar workers) and averages the compression
-// rate and synchronized error over the trajectories.
-func runPointCtx(ctx context.Context, ds []trajectory.Trajectory, alg compress.Algorithm, cellPar int) (compPct, errAvg float64, _ error) {
-	if cellPar <= 0 {
-		cellPar = 1
-	}
-	outs, err := compress.CompressAll(ctx, alg, compress.BatchOptions{Parallelism: cellPar}, ds)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i, p := range ds {
-		a := outs[i]
+// runPoint evaluates one grid cell: it compresses every trajectory of ds
+// with alg and returns the mean compression percentage and mean
+// synchronized error.
+func runPoint(ds []trajectory.Trajectory, alg compress.Algorithm) (compPct, errAvg float64) {
+	for _, p := range ds {
+		a := alg.Compress(p)
 		compPct += compress.Rate(p.Len(), a.Len())
 		e, err := sed.AvgError(p, a)
 		if err != nil {
@@ -260,7 +153,7 @@ func runPointCtx(ctx context.Context, ds []trajectory.Trajectory, alg compress.A
 		errAvg += e
 	}
 	n := float64(len(ds))
-	return compPct / n, errAvg / n, nil
+	return compPct / n, errAvg / n
 }
 
 // Standard factories for the algorithms the paper compares.

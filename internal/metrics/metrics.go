@@ -1,7 +1,6 @@
 // Package metrics is a dependency-free instrumentation substrate for the
 // moving-object service layers: atomic counters and gauges, fixed-bucket
-// latency histograms with quantile estimation, and a named registry with
-// label support that renders both a human-readable table and
+// latency histograms, and a named registry with label support that renders
 // Prometheus-style exposition text.
 //
 // The paper's systems argument — compress on ingest so that storage,
@@ -76,30 +75,15 @@ func addFloatBits(bits *atomic.Uint64, d float64) {
 	}
 }
 
-// maxFloatBits atomically raises a float64-as-bits cell to v if v exceeds it.
-func maxFloatBits(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Histogram accumulates non-negative observations (latencies in seconds,
-// sizes) into fixed buckets, tracking count, sum and maximum. Quantiles are
-// estimated by linear interpolation inside the bucket holding the requested
-// rank, so accuracy is bounded by bucket width — the standard fixed-bucket
-// trade: O(1) lock-free observes against a few per-bucket resolution.
+// sizes) into fixed buckets, tracking count and sum — the Prometheus
+// histogram: O(1) lock-free observes, with quantiles left to the reader of
+// the bucket counts.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
-	max    atomic.Uint64 // float64 bits
 }
 
 // DefBuckets is the default latency scale in seconds: 10 µs to 10 s in a
@@ -145,7 +129,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	addFloatBits(&h.sum, v)
-	maxFloatBits(&h.max, v)
 }
 
 // ObserveSince records the elapsed wall time since t0, in seconds.
@@ -156,64 +139,3 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Max returns the largest observation, 0 before the first.
-func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed
-// distribution; NaN when nothing was observed. The estimate interpolates
-// linearly inside the bucket containing rank q·count, and is clamped by the
-// tracked maximum, which the overflow bucket also reports exactly.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return bucketQuantile(h.bounds, counts, h.Max(), q)
-}
-
-// bucketQuantile is the shared quantile estimator over a bucket-count
-// snapshot; Histogram.Quantile and MetricSnapshot.Quantile both use it.
-func bucketQuantile(bounds []float64, counts []int64, max, q float64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1 // below the first observation there is nothing to interpolate
-	}
-	cum := 0.0
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i == len(bounds) {
-			return max // overflow bucket: the tracked maximum is exact
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = bounds[i-1]
-		}
-		upper := bounds[i]
-		if max < upper {
-			upper = max // no observation exceeds the tracked maximum
-		}
-		if upper < lower {
-			lower = upper
-		}
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return max
-}

@@ -33,8 +33,6 @@ type Options struct {
 	PingEvery time.Duration
 	// WriteTimeout is the per-frame write deadline towards a follower.
 	WriteTimeout time.Duration
-	// ChunkBytes caps one DATA frame's payload.
-	ChunkBytes int
 	// Metrics receives the repl_* instruments (nil: the default registry).
 	Metrics *metrics.Registry
 }
@@ -51,9 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = defaultWriteTimeout
-	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = defaultChunkBytes
 	}
 	return o
 }
@@ -271,7 +266,7 @@ func (p *Primary) ServeFollower(conn net.Conn, br *bufio.Reader, bw *bufio.Write
 		<-readerDone
 	}()
 
-	buf := make([]byte, p.opts.ChunkBytes)
+	buf := make([]byte, chunkBytes)
 	notify := make(chan struct{}, 1)
 	p.store.SubscribeSynced(notify)
 	defer p.store.UnsubscribeSynced(notify)

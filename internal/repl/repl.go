@@ -74,8 +74,8 @@ const (
 	defaultDialTimeout  = 5 * time.Second
 	defaultBackoffBase  = 50 * time.Millisecond
 	defaultBackoffMax   = 2 * time.Second
-	defaultChunkBytes   = 64 << 10
-	maxFrameBytes       = 1 << 20 // sanity bound on a received DATA length
+	chunkBytes          = 64 << 10 // cap on one DATA frame's payload
+	maxFrameBytes       = 1 << 20  // sanity bound on a received DATA length
 )
 
 type instruments struct {

@@ -6,9 +6,11 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/stream"
 	"repro/internal/trajectory"
 )
 
@@ -243,5 +245,110 @@ func TestBatchMetrics(t *testing.T) {
 	}
 	if !sawCount || !sawSize {
 		t.Errorf("batch metrics missing: count=%v sizeHist=%v", sawCount, sawSize)
+	}
+}
+
+// A parked vehicle under the opening-window default costs O(WindowCap) per
+// fix, not O(fixes so far): ten full MAPPENDs of one position, rising t,
+// finish in under a second, and while they run a POSITION for another
+// object of the same shard never waits 200 ms for the shard's write lock.
+// An unbounded window re-tests every parked fix on every push, which held
+// the lock for seconds per batch.
+func TestParkedObjectIngest(t *testing.T) {
+	factory, err := stream.ParseFactory("opwtr:30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.New(store.Options{NewCompressor: factory, Shards: 1}) // one shard: every id shares its lock
+	addr, shutdown := startServer(t, st)
+	defer shutdown()
+
+	const batches, perBatch = 10, maxBatchAppend
+	budget, lockWait := time.Second, 200*time.Millisecond
+	if raceEnabled {
+		// The race detector slows the scan by an order of magnitude; an
+		// unbounded window still needs minutes.
+		budget, lockWait = 15*time.Second, 3*time.Second
+	}
+	deadline := time.Now().Add(budget + 5*time.Second)
+
+	neighbour, nr := rawConn(t, addr)
+	if err := neighbour.SetDeadline(deadline); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprint(neighbour, "APPEND neighbour 0 10 10\nAPPEND neighbour 100 20 20\n")
+	for i := 0; i < 2; i++ {
+		if got, err := nr.ReadString('\n'); err != nil || strings.TrimSpace(got) != "OK" {
+			t.Fatalf("neighbour APPEND: %q, %v", got, err)
+		}
+	}
+
+	// The probe reports its slowest POSITION round trip; it stops before
+	// the test returns, also when the ingest fails.
+	type probe struct {
+		worst time.Duration
+		err   error
+	}
+	done, res := make(chan struct{}), make(chan probe, 1)
+	go func() {
+		var p probe
+		defer func() { res <- p }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			t0 := time.Now()
+			fmt.Fprint(neighbour, "POSITION neighbour 50\n")
+			got, err := nr.ReadString('\n')
+			if err != nil || !strings.HasPrefix(got, "OK ") {
+				p.err = fmt.Errorf("POSITION during parked ingest: %q, %v", got, err)
+				return
+			}
+			p.worst = max(p.worst, time.Since(t0))
+		}
+	}()
+	var p probe
+	stopped := false
+	stop := func() {
+		if !stopped {
+			stopped = true
+			close(done)
+			p = <-res
+		}
+	}
+	defer stop() // before rawConn's cleanup closes the connections
+
+	conn, br := rawConn(t, addr)
+	if err := conn.SetDeadline(deadline); err != nil {
+		t.Fatal(err)
+	}
+	w := bufio.NewWriter(conn)
+	start := time.Now()
+	for b := 0; b < batches; b++ {
+		fmt.Fprintf(w, "MAPPEND parked %d\n", perBatch)
+		for i := 0; i < perBatch; i++ {
+			fmt.Fprintf(w, "%d 500 500\n", b*perBatch+i)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("OK appended=%d", perBatch)
+		if got, err := br.ReadString('\n'); err != nil || strings.TrimSpace(got) != want {
+			t.Errorf("batch %d: %q, %v; want %q", b, got, err, want)
+			break
+		}
+	}
+	elapsed := time.Since(start)
+	stop()
+	if elapsed > budget {
+		t.Errorf("%d parked fixes took %v, budget %v", batches*perBatch, elapsed, budget)
+	}
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	if p.worst > lockWait {
+		t.Errorf("a POSITION in the parked object's shard waited %v, bound %v", p.worst, lockWait)
 	}
 }

@@ -77,7 +77,7 @@
 //	                                          compress.Parse (compress.Help
 //	                                          prints the grammar; e.g.
 //	                                          operb:30, ciseds:30,
-//	                                          opwtr:30:64) applied per object on
+//	                                          opwsp:30:5) applied per object on
 //	                                          this subscriber's feed: only
 //	                                          retained points are delivered,
 //	                                          trading latency/completeness

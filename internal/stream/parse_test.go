@@ -47,8 +47,7 @@ func TestParseFactoryInvalid(t *testing.T) {
 		"nopw",        // missing threshold
 		"nopw:x",      // non-numeric
 		"nopw:-1",     // negative
-		"nopw:30:2",   // window < 3
-		"nopw:30:3.5", // non-integer window
+		"opwtr:30:64", // no window argument: the cap is a constant
 		"opwsp:30",    // missing speed
 		"opwsp:30:0",  // zero speed
 		"dr:30:5",     // too many args

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -33,15 +32,14 @@ func sameTrajectory(a, b trajectory.Trajectory) bool {
 }
 
 // onlineSpecs instantiates every grammar line of compress.Help(true):
-// "opwsp:D:V[:W]" becomes "opwsp:30:5" and, because a window cap is offered,
-// "opwsp:30:5:8" — so a new table row is covered without touching the tests.
+// "opwsp:D:V" becomes "opwsp:30:5" — so a new table row is covered without
+// touching the tests.
 func onlineSpecs(t *testing.T) []string {
 	t.Helper()
 	values := map[string]string{"D": "30", "V": "5"}
 	var specs []string
 	for _, line := range strings.Split(strings.TrimSpace(compress.Help(true)), "\n") {
-		grammar, capped := strings.CutSuffix(strings.Fields(line)[0], "[:W]")
-		parts := strings.Split(grammar, ":")
+		parts := strings.Split(strings.Fields(line)[0], ":")
 		for i, letter := range parts[1:] {
 			v, ok := values[letter]
 			if !ok {
@@ -49,11 +47,7 @@ func onlineSpecs(t *testing.T) []string {
 			}
 			parts[i+1] = v
 		}
-		spec := strings.Join(parts, ":")
-		specs = append(specs, spec)
-		if capped {
-			specs = append(specs, spec+":8")
-		}
+		specs = append(specs, strings.Join(parts, ":"))
 	}
 	return specs
 }
@@ -62,11 +56,11 @@ func onlineSpecs(t *testing.T) []string {
 // equals alg.Compress sample for sample, on seeded fleets at native and at
 // epoch-scale timestamps. Both run the one engine of internal/compress, so
 // this pins the wrapper and the "Compress = engine over the slice"
-// definition, capped windows included. The dr:0 and dr:1e-9 rows are the
+// definition. The dr:0 and dr:1e-9 rows are the
 // regression for the former batch loop, which re-tested the sample that
 // defines the new velocity and so kept rounding noise as "deviation".
 func TestOnlineMatchesBatch(t *testing.T) {
-	specs := append(onlineSpecs(t), "opwtr:100", "opwsp:30:15:8", "dr:0", "dr:1e-9")
+	specs := append(onlineSpecs(t), "opwtr:100", "opwsp:30:15", "dr:0", "dr:1e-9")
 	tracks := append(testTrips(), fleetTracks()...)
 	for _, spec := range specs {
 		alg, err := compress.Parse(spec)
@@ -110,28 +104,54 @@ func TestOutOfOrderRejected(t *testing.T) {
 	}
 }
 
-// A bounded window must cut eventually but still produce a valid subsequence
-// within the synchronized error guarantee.
+// Every opening-window algorithm holds at most compress.WindowCap samples,
+// batch or online. A parked object and one at constant velocity fit their
+// anchor–float segment forever, so on them only the cap cuts: the window
+// never outgrows it, retained points are at most WindowCap samples apart,
+// and the output is still the batch result, a vertex subsequence with both
+// endpoints.
 func TestBoundedWindow(t *testing.T) {
-	p := testTrips()[0]
-	const cap = 8
-	got, err := Collect(New(compress.OPWTR{Threshold: 1e12, MaxWindow: cap}), p) // huge threshold: only the cap cuts
-	if err != nil {
-		t.Fatal(err)
+	n := 3 * compress.WindowCap
+	parked := make(trajectory.Trajectory, n)
+	straight := make(trajectory.Trajectory, n)
+	for i := range parked {
+		parked[i] = trajectory.S(float64(i), 100, 200)
+		straight[i] = trajectory.S(float64(i), 12*float64(i), -5*float64(i))
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("bounded-window output invalid: %v", err)
-	}
-	if !got.IsVertexSubsetOf(p) {
-		t.Fatal("bounded-window output not a subsequence")
-	}
-	// With the cap, roughly one point per cap-1 inputs must be retained.
-	if got.Len() < p.Len()/cap {
-		t.Errorf("bounded window kept only %d of %d points", got.Len(), p.Len())
-	}
-	unbounded := compress.OPWTR{Threshold: 1e12}.Compress(p)
-	if got.Len() <= unbounded.Len() {
-		t.Errorf("cap had no effect: %d vs %d points", got.Len(), unbounded.Len())
+	for _, spec := range []string{"nopw:30", "bopw:30", "opwtr:30", "opwsp:30:5"} {
+		alg, err := compress.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]trajectory.Trajectory{"parked": parked, "straight": straight} {
+			c := New(alg.(compress.Online))
+			var got trajectory.Trajectory
+			for i, s := range p {
+				emitted, err := c.Push(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, emitted...)
+				if pending := c.(*online).BufferLen(); pending > compress.WindowCap {
+					t.Fatalf("%s %s: %d samples pending after push %d, cap %d", spec, name, pending, i, compress.WindowCap)
+				}
+			}
+			got = append(got, c.Flush()...)
+			if want := alg.Compress(p); !sameTrajectory(got, want) {
+				t.Fatalf("%s %s: online %d points, batch %d points", spec, name, got.Len(), want.Len())
+			}
+			if !got.IsVertexSubsetOf(p) || got[0] != p[0] || got[got.Len()-1] != p[n-1] {
+				t.Fatalf("%s %s: output is not a vertex subsequence with both endpoints", spec, name)
+			}
+			prev := 0
+			for _, s := range got[1:] {
+				idx := int(s.T) // t is the sample index on both tracks
+				if idx-prev > compress.WindowCap {
+					t.Fatalf("%s %s: retained samples %d and %d are %d apart, cap %d", spec, name, prev, idx, idx-prev, compress.WindowCap)
+				}
+				prev = idx
+			}
+		}
 	}
 }
 
@@ -171,7 +191,6 @@ func TestValidation(t *testing.T) {
 		func() { New(compress.OPWSP{DistThreshold: 10}) },
 		func() { New(compress.NOPW{Threshold: -1}) },
 		func() { New(compress.DeadReckoning{Threshold: -1}) },
-		func() { New(compress.OPWTR{Threshold: 10, MaxWindow: 2}) }, // window cap too small
 	} {
 		func() {
 			defer func() {
@@ -181,61 +200,5 @@ func TestValidation(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestPipeline(t *testing.T) {
-	p := testTrips()[0]
-	in := make(chan trajectory.Sample)
-	out := make(chan trajectory.Sample)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- Pipeline(context.Background(), New(compress.OPWTR{Threshold: 50}), in, out)
-	}()
-	go func() {
-		for _, s := range p {
-			in <- s
-		}
-		close(in)
-	}()
-	var got trajectory.Trajectory
-	for s := range out {
-		got = append(got, s)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	want := compress.OPWTR{Threshold: 50}.Compress(p)
-	if !sameTrajectory(got, want) {
-		t.Errorf("pipeline output %d points, batch %d", got.Len(), want.Len())
-	}
-}
-
-func TestPipelineCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan trajectory.Sample)
-	out := make(chan trajectory.Sample)
-	errc := make(chan error, 1)
-	go func() {
-		errc <- Pipeline(ctx, New(compress.OPWTR{Threshold: 50}), in, out)
-	}()
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Errorf("cancellation returned %v", err)
-	}
-	if _, ok := <-out; ok {
-		t.Error("out channel not closed after cancellation")
-	}
-}
-
-func TestPipelinePropagatesPushError(t *testing.T) {
-	in := make(chan trajectory.Sample, 2)
-	out := make(chan trajectory.Sample, 16)
-	in <- trajectory.S(5, 0, 0)
-	in <- trajectory.S(4, 0, 0) // out of order
-	close(in)
-	err := Pipeline(context.Background(), New(compress.OPWTR{Threshold: 50}), in, out)
-	if !errors.Is(err, ErrOutOfOrder) {
-		t.Errorf("got %v, want ErrOutOfOrder", err)
 	}
 }

@@ -14,8 +14,8 @@
 //
 // Durability semantics: a sample becomes durable when its record is written
 // (and flushed, see SyncEvery). Samples still buffered inside an on-ingest
-// compressor window at crash time are lost except for the window anchor —
-// bounded by the compressor's window cap.
+// compressor window at crash time are lost except for the window anchor:
+// at most compress.WindowCap − 1 samples per object.
 //
 // Concurrency and group commit: the log is safe for concurrent appenders.
 // Records are staged into the write buffer under the log's lock; fsyncs are

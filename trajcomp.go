@@ -35,8 +35,7 @@
 //
 // Subsystems exposed here:
 //
-//   - online compression of live position streams (ParseOnline, Collect,
-//     Pipeline);
+//   - online compression of live position streams (ParseOnline, Collect);
 //   - a moving-object store with on-ingest compression and spatiotemporal
 //     range queries (NewStore), optionally backed by a write-ahead log
 //     (OpenDurableStore), observable through a metrics registry
@@ -51,7 +50,6 @@
 package trajcomp
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/codec"
@@ -169,10 +167,9 @@ func AlgorithmHelp() string { return compress.Help(false) }
 
 // CompressAll compresses every trajectory with alg on a bounded worker pool
 // (opts.Parallelism workers; 0 = GOMAXPROCS), preserving input order — the
-// batch path for archival jobs over large fleets. Cancelling ctx abandons
-// trajectories not yet started and returns ctx.Err().
-func CompressAll(ctx context.Context, alg Algorithm, opts BatchOptions, ps []Trajectory) ([]Trajectory, error) {
-	return compress.CompressAll(ctx, alg, opts, ps)
+// batch path for archival jobs over large fleets.
+func CompressAll(alg Algorithm, opts BatchOptions, ps []Trajectory) []Trajectory {
+	return compress.CompressAll(alg, opts, ps)
 }
 
 // CompressionRate returns the percentage of points removed when reducing
@@ -205,11 +202,6 @@ func ParseOnline(spec string) (func() Compressor, error) { return stream.ParseFa
 
 // Collect runs an online compressor over a whole trajectory.
 func Collect(c Compressor, p Trajectory) (Trajectory, error) { return stream.Collect(c, p) }
-
-// Pipeline connects an online compressor between two sample channels.
-func Pipeline(ctx context.Context, c Compressor, in <-chan Sample, out chan<- Sample) error {
-	return stream.Pipeline(ctx, c, in, out)
-}
 
 // Moving-object store.
 

@@ -34,8 +34,9 @@ func TestFacadeAlgorithmsRun(t *testing.T) {
 	}
 }
 
-// ParseOnline refuses a batch-only spec, yields nil for "none", and its
-// compressors emit what the batch algorithm of the same spec keeps.
+// ParseOnline refuses a batch-only spec and a window argument, yields nil
+// for "none", and its compressors emit what the batch algorithm of the same
+// spec keeps.
 func TestFacadeParseOnline(t *testing.T) {
 	if f, err := ParseOnline("none"); f != nil || err != nil {
 		t.Errorf(`ParseOnline("none") = (factory %t, %v); want (nil, nil)`, f != nil, err)
@@ -43,8 +44,11 @@ func TestFacadeParseOnline(t *testing.T) {
 	if _, err := ParseOnline("tdtr:30"); err == nil {
 		t.Error("ParseOnline accepted the batch-only tdtr")
 	}
+	if _, err := ParseOnline("opwtr:30:64"); err == nil {
+		t.Error("ParseOnline accepted a window argument")
+	}
 	p := GenerateTrip(23, Mixed, 900)
-	for _, spec := range []string{"dr:30", "nopw:30", "opwtr:30:16", "opwsp:30:5", "operb:30", "ciseds:30", "cisedw:30"} {
+	for _, spec := range []string{"dr:30", "nopw:30", "opwtr:30", "opwsp:30:5", "operb:30", "ciseds:30", "cisedw:30"} {
 		newC, err := ParseOnline(spec)
 		if err != nil {
 			t.Fatalf("ParseOnline(%q): %v", spec, err)

@@ -6,7 +6,6 @@ package trajcomp
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 )
@@ -46,7 +45,7 @@ func TestEndToEndBatchPipeline(t *testing.T) {
 
 func TestEndToEndOnlineStoreQuery(t *testing.T) {
 	st := NewStore(StoreOptions{
-		NewCompressor: mustOnline(t, "opwsp:40:5:64"),
+		NewCompressor: mustOnline(t, "opwsp:40:5"),
 		CellSize:      500,
 	})
 	p := GenerateTrip(2, Urban, 1200)
@@ -91,30 +90,6 @@ func TestEndToEndParseAndSpecs(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("bogus:1"); err == nil {
 		t.Error("bogus spec accepted")
-	}
-}
-
-func TestEndToEndPipelineChannel(t *testing.T) {
-	p := GenerateTrip(5, Urban, 600)
-	in := make(chan Sample)
-	out := make(chan Sample, p.Len())
-	errc := make(chan error, 1)
-	c := mustOnline(t, "opwtr:30")()
-	go func() { errc <- Pipeline(context.Background(), c, in, out) }()
-	for _, s := range p {
-		in <- s
-	}
-	close(in)
-	var got Trajectory
-	for s := range out {
-		got = append(got, s)
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	batch := mustParse(t, "opwtr:30").Compress(p)
-	if got.Len() != batch.Len() {
-		t.Errorf("pipeline %d points vs batch %d", got.Len(), batch.Len())
 	}
 }
 
