@@ -95,30 +95,40 @@ type object struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("trajtorture: ")
+	if err := run(os.Args[1:]); err != nil {
+		log.Print(err)
+		os.Exit(1)
+	}
+}
 
+// run is the whole harness. Every violation returns an error rather than
+// exiting, so the deferred child kill and temp-dir cleanup have run before
+// main exits non-zero: a failing run leaves no server listening.
+func run(args []string) error {
+	fs := flag.NewFlagSet("trajtorture", flag.ExitOnError)
 	var (
-		bin     = flag.String("bin", "", "path to a built trajserver binary (required)")
-		addr    = flag.String("addr", "127.0.0.1:7117", "address the child server listens on")
-		walPath = flag.String("wal", "", "WAL path (default: a fresh temp file)")
-		cycles  = flag.Int("cycles", 5, "SIGKILL/restart cycles")
-		objects = flag.Int("objects", 4, "simulated vehicles")
-		appends = flag.Int("appends", 400, "append budget per cycle (the kill lands at a random point inside it)")
-		seed    = flag.Int64("seed", 1, "RNG seed for load and kill points (a failing run replays exactly)")
-		batch   = flag.Int("batch", 0, "mix MAPPEND batches of up to this many samples into the feed (0 = singles only)")
-		sealEps = flag.Float64("seal-eps", 0, "run the child with a cold sealed tier at this error bound and SEAL mid-cycle (0 = off)")
-		repl    = flag.Bool("repl", false, "two-node replication torture: primary + follower instead of a single server")
-		replAck = flag.String("repl-ack", "follower", `ack mode under -repl: "follower" (kill-primary/PROMOTE cycles) or "primary" (kill-follower cycles + lag shedding)`)
-		workdir = flag.String("workdir", "", "directory for WALs and per-node server logs, kept after the run (default: a fresh temp dir, removed on exit)")
-		verbose = flag.Bool("v", false, "pass the child's output through")
+		bin     = fs.String("bin", "", "path to a built trajserver binary (required)")
+		addr    = fs.String("addr", "127.0.0.1:7117", "address the child server listens on")
+		walPath = fs.String("wal", "", "WAL path (default: a fresh temp file)")
+		cycles  = fs.Int("cycles", 5, "SIGKILL/restart cycles")
+		objects = fs.Int("objects", 4, "simulated vehicles")
+		appends = fs.Int("appends", 400, "append budget per cycle (the kill lands at a random point inside it)")
+		seed    = fs.Int64("seed", 1, "RNG seed for load and kill points (a failing run replays exactly)")
+		batch   = fs.Int("batch", 0, "mix MAPPEND batches of up to this many samples into the feed (0 = singles only)")
+		sealEps = fs.Float64("seal-eps", 0, "run the child with a cold sealed tier at this error bound and SEAL mid-cycle (0 = off)")
+		repl    = fs.Bool("repl", false, "two-node replication torture: primary + follower instead of a single server")
+		replAck = fs.String("repl-ack", "follower", `ack mode under -repl: "follower" (kill-primary/PROMOTE cycles) or "primary" (kill-follower cycles + lag shedding)`)
+		workdir = fs.String("workdir", "", "directory for WALs and per-node server logs, kept after the run (default: a fresh temp dir, removed on exit)")
+		verbose = fs.Bool("v", false, "pass the child's output through")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here, before anything needs cleaning up
 	if *bin == "" {
-		log.Fatal("-bin is required (a built trajserver binary)")
+		return errors.New("-bin is required (a built trajserver binary)")
 	}
 	serverLog := ""
 	if *workdir != "" {
 		if err := os.MkdirAll(*workdir, 0o755); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		serverLog = filepath.Join(*workdir, "server.log")
 		if *walPath == "" {
@@ -127,7 +137,7 @@ func main() {
 	} else if *walPath == "" {
 		dir, err := os.MkdirTemp("", "trajtorture-*")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
 			_ = os.RemoveAll(dir) // best effort: temp dir cleanup
@@ -158,9 +168,9 @@ func main() {
 			workdir: *workdir,
 			verbose: *verbose,
 		}, rng, objs); err != nil {
-			log.Fatalf("REPLICATION VIOLATION: %v", err)
+			return fmt.Errorf("REPLICATION VIOLATION: %w", err)
 		}
-		return
+		return nil
 	}
 
 	h := &harness{bin: *bin, addr: *addr, wal: *walPath, sealEps: *sealEps, logPath: serverLog, verbose: *verbose}
@@ -184,19 +194,19 @@ func main() {
 	for cycle := 1; cycle <= *cycles; cycle++ {
 		c, err := h.start()
 		if err != nil {
-			log.Fatalf("cycle %d: starting server: %v", cycle, err)
+			return fmt.Errorf("cycle %d: starting server: %w", cycle, err)
 		}
 		if err := verify(c, checked); err != nil {
-			log.Fatalf("cycle %d: RECOVERY VIOLATION: %v", cycle, err)
+			return fmt.Errorf("cycle %d: RECOVERY VIOLATION: %w", cycle, err)
 		}
 		if *sealEps > 0 && sealedCut > 0 {
 			if err := sealCheck(c, checked, sealedCut, *sealEps); err != nil {
-				log.Fatalf("cycle %d: COLD TIER VIOLATION: %v", cycle, err)
+				return fmt.Errorf("cycle %d: COLD TIER VIOLATION: %w", cycle, err)
 			}
 		}
 		if retired != nil && cycle == 1 {
 			if err := c.AppendBatch(retired.id, retired.traj); err != nil {
-				log.Fatalf("cycle %d: append %s: %v", cycle, retired.id, err)
+				return fmt.Errorf("cycle %d: append %s: %v", cycle, retired.id, err)
 			}
 			retired.next, retired.acked = retired.traj.Len(), retired.traj.Len()
 			totalAcked += retired.acked
@@ -229,7 +239,7 @@ func main() {
 				// A refused append is harness trouble (the server is healthy
 				// until we kill it) — unless it raced an earlier kill's
 				// half-open socket, which the reconnect path absorbs.
-				log.Fatalf("cycle %d: append %d refused: %v", cycle, sent, err)
+				return fmt.Errorf("cycle %d: append %d refused: %v", cycle, sent, err)
 			}
 			// An OK (or "OK appended=n") reply acknowledges all n samples:
 			// every one of them is held to the durability invariant.
@@ -247,7 +257,7 @@ func main() {
 			if !sealDone && sent >= killAfter/2 {
 				if cut := maxAckedT / 2; cut > sealedCut {
 					if err := sealKeepingIDs(c, cut); err != nil {
-						log.Fatalf("cycle %d: %v", cycle, err)
+						return fmt.Errorf("cycle %d: %w", cycle, err)
 					}
 					sealedCut = cut
 				}
@@ -257,13 +267,13 @@ func main() {
 
 		if cycle < *cycles {
 			if err := h.kill(); err != nil {
-				log.Fatalf("cycle %d: kill: %v", cycle, err)
+				return fmt.Errorf("cycle %d: kill: %w", cycle, err)
 			}
 			log.Printf("cycle %d: SIGKILL after %d appends (%d acked total)", cycle, sent, totalAcked)
 		} else {
 			// Last cycle: drain gracefully and make sure that path works too.
 			if err := h.terminate(); err != nil {
-				log.Fatalf("cycle %d: graceful shutdown: %v", cycle, err)
+				return fmt.Errorf("cycle %d: graceful shutdown: %w", cycle, err)
 			}
 			log.Printf("cycle %d: SIGTERM after %d appends (%d acked total)", cycle, sent, totalAcked)
 		}
@@ -273,14 +283,14 @@ func main() {
 	// gracefully sealed tail) recovers intact.
 	c, err := h.start()
 	if err != nil {
-		log.Fatalf("final verification: starting server: %v", err)
+		return fmt.Errorf("final verification: starting server: %w", err)
 	}
 	if err := verify(c, checked); err != nil {
-		log.Fatalf("final verification: RECOVERY VIOLATION: %v", err)
+		return fmt.Errorf("final verification: RECOVERY VIOLATION: %w", err)
 	}
 	if *sealEps > 0 && sealedCut > 0 {
 		if err := sealCheck(c, checked, sealedCut, *sealEps); err != nil {
-			log.Fatalf("final verification: COLD TIER VIOLATION: %v", err)
+			return fmt.Errorf("final verification: COLD TIER VIOLATION: %w", err)
 		}
 	}
 	recovered := 0
@@ -288,10 +298,11 @@ func main() {
 		recovered += o.acked
 	}
 	if err := h.terminate(); err != nil {
-		log.Fatalf("final shutdown: %v", err)
+		return fmt.Errorf("final shutdown: %w", err)
 	}
 	log.Printf("PASS: %d cycles, %d acknowledged appends, %d samples recovered, zero acknowledged records lost",
 		*cycles, totalAcked, recovered)
+	return nil
 }
 
 // verify holds the recovered server state against the invariant and

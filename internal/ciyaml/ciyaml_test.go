@@ -439,6 +439,7 @@ func TestCIFuzzJobShape(t *testing.T) {
 		"FuzzCommandLine":             "./internal/server",
 		"FuzzFollowerStream":          "./internal/repl",
 		"FuzzPrimaryAck":              "./internal/repl",
+		"FuzzStoreQuery":              "./internal/store",
 	}
 	include := fuzz.Get("strategy").Get("matrix").Get("include")
 	if include == nil || include.Kind != SeqNode {

@@ -7,19 +7,21 @@ import (
 	"repro/internal/rtree"
 )
 
-// spatialIndex abstracts the spatiotemporal segment index backing Query.
+// spatialIndex abstracts the spatiotemporal index of closed runs backing
+// Query.
 type spatialIndex interface {
 	insert(id string, box geo.Rect, t0, t1 float64)
 	query(rect geo.Rect, t0, t1 float64) map[string]bool
 }
 
-// gridIndex is a uniform spatial grid over trajectory segments. Each entry
-// carries the segment's bounding box and time interval; a segment spanning
-// several cells is inserted into each. The work of both operations is bounded
-// by what the index holds, never by the coordinates passed in: a segment whose
-// box covers more than maxSegmentCells cells (a GPS glitch, a sparse track) is
-// filed once under oversize, and a query rectangle spanning more cells than
-// are populated walks the populated cells instead.
+// gridIndex is a uniform spatial grid over trajectory runs. Each entry
+// carries the run's bounding box and time interval; a run spanning several
+// cells is inserted into each. The work of both operations is bounded by what
+// the index holds, never by the coordinates passed in: a run whose box covers
+// more than maxSegmentCells cells (one segment of a GPS glitch or a sparse
+// track: a longer run never outgrows the cell size) is filed once under
+// oversize, and a query rectangle spanning more cells than are populated
+// walks the populated cells instead.
 type gridIndex struct {
 	cell     float64
 	cells    map[cellKey][]entry
@@ -76,7 +78,7 @@ func cellCount(lo, hi cellKey) float64 {
 	return (float64(hi.cx) - float64(lo.cx) + 1) * (float64(hi.cy) - float64(lo.cy) + 1)
 }
 
-// insert registers one segment under every cell its bounding box covers.
+// insert registers one run under every cell its bounding box covers.
 func (g *gridIndex) insert(id string, box geo.Rect, t0, t1 float64) {
 	if box.IsEmpty() {
 		return
@@ -95,7 +97,7 @@ func (g *gridIndex) insert(id string, box geo.Rect, t0, t1 float64) {
 	}
 }
 
-// query returns the set of object IDs with a segment whose bounding box
+// query returns the set of object IDs with a run whose bounding box
 // intersects rect and whose time interval overlaps [t0, t1].
 func (g *gridIndex) query(rect geo.Rect, t0, t1 float64) map[string]bool {
 	hits := make(map[string]bool)

@@ -6,7 +6,7 @@ import (
 )
 
 // shard is one independent slice of the store: it owns the objects whose IDs
-// hash to it, the spatiotemporal index segment over their retained
+// hash to it, the spatiotemporal index over the runs of their retained
 // trajectories, and the per-shard bookkeeping counters. Every shard has its
 // own lock, so appends to objects on different shards never contend.
 type shard struct {
@@ -14,14 +14,14 @@ type shard struct {
 	objects map[string]*object
 	index   spatialIndex
 	rawPts  int
-	idxSegs int // segments currently in this shard's index
+	idxRuns int // runs currently in this shard's index
 	pending pendingDeltas
 }
 
 // pendingDeltas are instrument updates accumulated under a shard's lock and
 // published once per locked section (Store.publishLocked).
 type pendingDeltas struct {
-	appends, retained, segments int
+	appends, retained, runs int
 }
 
 // fnv1a is the 32-bit FNV-1a hash of id, computed inline so shard selection

@@ -2,24 +2,34 @@
 // of system the paper targets ("database support for moving object
 // representation and computing"). It ingests time-stamped positions per
 // object, optionally compressing them on the fly with an online compressor
-// from internal/stream, maintains a spatiotemporal grid index over the
-// retained trajectory segments, and answers position-at-time and
-// spatiotemporal range queries.
+// from internal/stream, maintains a spatiotemporal index over runs of the
+// retained trajectory, and answers position-at-time and spatiotemporal range
+// queries.
+//
+// # Runs
+//
+// An object's retained trajectory is cut into runs of consecutive segments:
+// a run closes when it holds 32 segments or when one more segment would make
+// its bounding box wider or taller than Options.CellSize. Each closed run is
+// registered in its shard's index once, with its box and time span, and
+// recorded on the object (its first sample and its box) for the refinement
+// step of Query. The newest, still growing run is the open run: it is not in
+// the index, and Query tests it directly, as it does the buffered tail.
 //
 // The store demonstrates the paper's storage argument end to end: with an
 // OPW-TR or OPW-SP compressor configured, the retained point count — and
-// hence index size and snapshot size — drops by the compression rates of the
-// paper's experiments while queries keep working within the configured
-// error bound.
+// hence the run count, index size and snapshot size — drops by the
+// compression rates of the paper's experiments while queries keep working
+// within the configured error bound.
 //
 // # Sharding and consistency
 //
 // The store is partitioned into a power-of-two number of shards
 // (Options.Shards) by the FNV-1a hash of the object ID. Each shard owns its
-// objects, their retained trajectories, and its segment of the
-// spatiotemporal index, under its own lock — so appends to objects on
-// different shards never contend, and eviction sweeps one shard at a time
-// instead of stalling every writer.
+// objects, their retained trajectories, and its part of the spatiotemporal
+// index, under its own lock — so appends to objects on different shards
+// never contend, and eviction sweeps one shard at a time instead of stalling
+// every writer.
 //
 // Per-object operations (Append, Snapshot, PositionAt, Retained)
 // are atomic: they touch exactly one shard. Cross-object operations (Query,
@@ -63,7 +73,9 @@ type Options struct {
 	// Index selects the spatiotemporal index; the zero value is IndexGrid.
 	Index IndexKind
 	// CellSize is the spatial grid cell edge in metres for IndexGrid;
-	// 0 selects 1000 m. Ignored by IndexRTree.
+	// 0 selects 1000 m. It also bounds one indexed run's extent, under
+	// either index: a run closes before it grows wider or taller than
+	// CellSize, so on the grid it covers at most 2×2 cells.
 	CellSize float64
 	// Shards selects the number of independent store shards. Values ≤ 0
 	// select the default max(8, 2×GOMAXPROCS); any other value is rounded
@@ -91,15 +103,15 @@ type Options struct {
 // All counters and gauges are updated with per-shard deltas, so the totals
 // stay additive regardless of the shard count.
 type instruments struct {
-	appends       *metrics.Counter
-	appendErrors  *metrics.Counter
-	objects       *metrics.Gauge
-	retained      *metrics.Gauge
-	indexSegments *metrics.Gauge
-	evictions     *metrics.Counter
-	evictedPts    *metrics.Counter
-	shards        *metrics.Gauge
-	querySeconds  map[string]*metrics.Histogram // by query kind
+	appends      *metrics.Counter
+	appendErrors *metrics.Counter
+	objects      *metrics.Gauge
+	retained     *metrics.Gauge
+	indexRuns    *metrics.Gauge
+	evictions    *metrics.Counter
+	evictedPts   *metrics.Counter
+	shards       *metrics.Gauge
+	querySeconds map[string]*metrics.Histogram // by query kind
 }
 
 func newInstruments(r *metrics.Registry) *instruments {
@@ -111,15 +123,15 @@ func newInstruments(r *metrics.Registry) *instruments {
 		kinds[kind] = r.Histogram("store_query_seconds", nil, metrics.L("kind", kind))
 	}
 	return &instruments{
-		appends:       r.Counter("store_appends_total"),
-		appendErrors:  r.Counter("store_append_errors_total"),
-		objects:       r.Gauge("store_objects"),
-		retained:      r.Gauge("store_retained_samples"),
-		indexSegments: r.Gauge("store_index_segments"),
-		evictions:     r.Counter("store_evictions_total"),
-		evictedPts:    r.Counter("store_evicted_samples_total"),
-		shards:        r.Gauge("store_shards"),
-		querySeconds:  kinds,
+		appends:      r.Counter("store_appends_total"),
+		appendErrors: r.Counter("store_append_errors_total"),
+		objects:      r.Gauge("store_objects"),
+		retained:     r.Gauge("store_retained_samples"),
+		indexRuns:    r.Gauge("store_index_runs"),
+		evictions:    r.Counter("store_evictions_total"),
+		evictedPts:   r.Counter("store_evicted_samples_total"),
+		shards:       r.Gauge("store_shards"),
+		querySeconds: kinds,
 	}
 }
 
@@ -139,8 +151,23 @@ type Store struct {
 type object struct {
 	comp     stream.Compressor
 	retained trajectory.Trajectory
+	runs     []run // closed runs, oldest first; each is in the shard's index
+	open     run   // the open run, retained[open.first:]; not in the index
 	lastRaw  trajectory.Sample
 	rawSeen  int
+}
+
+// runSegments caps the segments of one run.
+const runSegments = 32
+
+// run is a stretch of an object's retained trajectory: the segments from
+// retained[first] up to the first sample of the next run (for the open run,
+// up to the newest retained sample), and the union of their bounding boxes.
+// Its time span is that of its samples. A run holds no pointer, so the
+// collector does not scan an object's runs.
+type run struct {
+	first int
+	box   geo.Rect // meaningless while the run has no segment
 }
 
 // New returns an empty store.
@@ -335,17 +362,54 @@ func (st *Store) Restore(id string, s trajectory.Sample) error {
 	return nil
 }
 
-// retain appends a finalized sample and indexes the new segment in the
-// object's shard. The shard's lock must be held.
+// retain appends a finalized sample and extends the object's open run by
+// the new segment. The shard's lock must be held.
 func (st *Store) retain(sh *shard, id string, obj *object, s trajectory.Sample) {
-	if n := obj.retained.Len(); n > 0 {
-		prev := obj.retained[n-1]
-		sh.index.insert(id, geo.Seg(prev.Pos(), s.Pos()).Bounds(), prev.T, s.T)
-		sh.idxSegs++
-		sh.pending.segments++
-	}
 	obj.retained = append(obj.retained, s)
+	if n := obj.retained.Len(); n > 1 {
+		st.extendRun(sh, id, obj, n-1)
+	}
 	sh.pending.retained++
+}
+
+// extendRun adds the segment retained[i-1] → retained[i] to the object's open
+// run, which ends at retained[i-1]. The open run closes first when the
+// segment would make its box wider or taller than the cell size, and right
+// after when it reaches runSegments segments or its one segment is already
+// that wide. Appends and the index rebuild after aging both build runs with
+// this function alone, so an aged shard indexes exactly as a freshly filled
+// one. The shard's lock must be held.
+func (st *Store) extendRun(sh *shard, id string, obj *object, i int) {
+	a, b := obj.retained[i-1], obj.retained[i]
+	seg := geo.Seg(a.Pos(), b.Pos()).Bounds()
+	if i-1 > obj.open.first && st.tooWide(obj.open.box.Union(seg)) {
+		st.closeRun(sh, id, obj, i-1)
+	}
+	if i-1 == obj.open.first {
+		obj.open.box = seg
+	} else {
+		obj.open.box = obj.open.box.Union(seg)
+	}
+	if i-obj.open.first == runSegments || st.tooWide(obj.open.box) {
+		st.closeRun(sh, id, obj, i)
+	}
+}
+
+// tooWide reports whether a run box exceeds the cell size in either extent.
+func (st *Store) tooWide(box geo.Rect) bool {
+	return box.Width() > st.opts.CellSize || box.Height() > st.opts.CellSize
+}
+
+// closeRun registers the open run, which ends at retained[last], in the
+// shard's index and records it on the object; a new, empty open run starts
+// at retained[last]. The shard's lock must be held.
+func (st *Store) closeRun(sh *shard, id string, obj *object, last int) {
+	r := obj.open
+	sh.index.insert(id, r.box, obj.retained[r.first].T, obj.retained[last].T)
+	obj.runs = append(obj.runs, r)
+	obj.open = run{first: last}
+	sh.idxRuns++
+	sh.pending.runs++
 }
 
 // publishLocked moves the shard's pending instrument deltas into the
@@ -360,8 +424,8 @@ func (st *Store) publishLocked(sh *shard) {
 	if p.retained != 0 {
 		st.ins.retained.Add(float64(p.retained))
 	}
-	if p.segments != 0 {
-		st.ins.indexSegments.Add(float64(p.segments))
+	if p.runs != 0 {
+		st.ins.indexRuns.Add(float64(p.runs))
 	}
 	*p = pendingDeltas{}
 }
@@ -481,9 +545,12 @@ func (st *Store) IDs() []string {
 // and, when sealing is enabled, the cold sealed tier. The test is
 // conservative at segment-bounding-box granularity: every truly
 // intersecting object is returned; an object whose segment box (but not the
-// segment itself) touches the rectangle may be included. Sealed history is
-// evaluated over quantized blocks with each block's recorded error bound
-// expanding the rectangle, so sealing introduces no false negatives.
+// segment itself) touches the rectangle may be included. The index narrows
+// the hot tier to objects with a matching run; within them, only the
+// segments of runs whose box and time span match are tested, so the answer
+// is the one a test of every segment gives. Sealed history is evaluated
+// over quantized blocks with each block's recorded error bound expanding the
+// rectangle, so sealing introduces no false negatives.
 func (st *Store) Query(rect geo.Rect, t0, t1 float64) []string {
 	defer st.ins.querySeconds["range"].ObserveSince(time.Now())
 	out := st.queryIDs(rect, t0, t1)
@@ -494,44 +561,89 @@ func (st *Store) Query(rect geo.Rect, t0, t1 float64) []string {
 }
 
 // queryIDs is the shared, untimed range-query body: an ordered sweep over
-// the shards, merging each shard's index hits and buffered-tail checks.
+// the shards. Each shard's index yields the objects with a closed run that
+// may match; those are refined segment by segment. Every object's open run,
+// buffered tail and lone sample are not in the index and are tested
+// directly, so that freshly ingested movement is queryable.
 func (st *Store) queryIDs(rect geo.Rect, t0, t1 float64) []string {
 	var out []string
 	for _, sh := range st.shards {
 		sh.mu.RLock()
-		hits := sh.index.query(rect, t0, t1)
-		// The index holds segments between retained samples. Neither the
-		// buffered tail segment (last retained → last raw) nor an object
-		// that is a single sample is in it; check those directly so that
-		// freshly ingested movement is queryable.
+		cands := sh.index.query(rect, t0, t1)
 		for id, obj := range sh.objects {
-			if hits[id] {
-				continue
-			}
-			n := obj.retained.Len()
-			b, hasTail := obj.tail()
-			a := b // nothing retained: the buffered fix alone
-			switch {
-			case hasTail && n > 0:
-				a = obj.retained[n-1]
-			case hasTail:
-			case n == 1:
-				a, b = obj.retained[0], obj.retained[0] // a zero-length segment
-			default:
-				continue // every segment is indexed (or the object is empty)
-			}
-			box := geo.Seg(a.Pos(), b.Pos()).Bounds()
-			if box.Intersects(rect) && overlaps(a.T, b.T, t0, t1) {
-				hits[id] = true
+			if (cands[id] && obj.runsHit(rect, t0, t1)) || obj.openHits(rect, t0, t1) {
+				out = append(out, id)
 			}
 		}
 		sh.mu.RUnlock()
-		for id := range hits {
-			out = append(out, id)
-		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// runsHit reports whether a segment of one of the object's closed runs
+// intersects rect during [t0, t1]. The runs are in time order: a binary
+// search finds the first that ends at or after t0.
+func (obj *object) runsHit(rect geo.Rect, t0, t1 float64) bool {
+	end := func(k int) int {
+		if k+1 < len(obj.runs) {
+			return obj.runs[k+1].first
+		}
+		return obj.open.first
+	}
+	k := sort.Search(len(obj.runs), func(k int) bool { return obj.retained[end(k)].T >= t0 })
+	for ; k < len(obj.runs) && obj.retained[obj.runs[k].first].T <= t1; k++ {
+		if obj.runs[k].box.Intersects(rect) && obj.segmentsHit(obj.runs[k].first, end(k), rect, t0, t1) {
+			return true
+		}
+	}
+	return false
+}
+
+// openHits reports whether what the index does not hold intersects rect
+// during [t0, t1]: a segment of the open run, the buffered tail segment (last
+// retained sample → newest raw fix), or an object's only sample as a
+// zero-length segment. Like the index, the open run matches nothing when
+// t1 < t0.
+func (obj *object) openHits(rect geo.Rect, t0, t1 float64) bool {
+	n := obj.retained.Len()
+	if n-1 > obj.open.first && t0 <= t1 && obj.open.box.Intersects(rect) &&
+		obj.segmentsHit(obj.open.first, n-1, rect, t0, t1) {
+		return true
+	}
+	b, hasTail := obj.tail()
+	a := b // nothing retained: the buffered fix alone
+	switch {
+	case hasTail && n > 0:
+		a = obj.retained[n-1]
+	case hasTail:
+	case n == 1:
+		a, b = obj.retained[0], obj.retained[0] // a zero-length segment
+	default:
+		return false // every segment is in a run (or the object is empty)
+	}
+	return segmentHits(a, b, rect, t0, t1)
+}
+
+// segmentsHit reports whether a segment retained[i] → retained[i+1] with
+// from ≤ i < to intersects rect during [t0, t1].
+func (obj *object) segmentsHit(from, to int, rect geo.Rect, t0, t1 float64) bool {
+	for i := from; i < to; i++ {
+		a, b := obj.retained[i], obj.retained[i+1]
+		if a.T > t1 {
+			break
+		}
+		if segmentHits(a, b, rect, t0, t1) {
+			return true
+		}
+	}
+	return false
+}
+
+// segmentHits is the per-segment test: the segment's bounding box meets rect
+// and its time interval overlaps [t0, t1].
+func segmentHits(a, b trajectory.Sample, rect geo.Rect, t0, t1 float64) bool {
+	return overlaps(a.T, b.T, t0, t1) && geo.Seg(a.Pos(), b.Pos()).Bounds().Intersects(rect)
 }
 
 // EvictBefore removes all retained samples older than t (exclusive) from
@@ -573,7 +685,7 @@ func (st *Store) ageBefore(t float64, sealing bool) (int, error) {
 	return removed, firstErr
 }
 
-// ageShard ages out one shard and rebuilds its index segment. With sealing
+// ageShard ages out one shard and rebuilds its runs and index. With sealing
 // set, each object's aged run — including the first surviving sample as an
 // overlap head, so the hot/cold boundary stays interpolable — is sealed
 // into the cold tier before it leaves the hot tier. The shard → tier lock
@@ -613,21 +725,20 @@ func (st *Store) ageShard(sh *shard, t float64, sealing bool) (int, error) {
 		}
 	}
 
-	// Rebuild this shard's index over its surviving segments.
+	// Rebuild this shard's runs and index over the surviving samples.
 	sh.index = newIndex(st.opts)
-	segs := 0
+	sh.pending.runs -= sh.idxRuns
+	sh.idxRuns = 0
 	for id, obj := range sh.objects {
-		for i := 0; i+1 < obj.retained.Len(); i++ {
-			a, b := obj.retained[i], obj.retained[i+1]
-			sh.index.insert(id, geo.Seg(a.Pos(), b.Pos()).Bounds(), a.T, b.T)
-			segs++
+		obj.runs, obj.open = nil, run{}
+		for i := 1; i < obj.retained.Len(); i++ {
+			st.extendRun(sh, id, obj, i)
 		}
 	}
 
 	st.ins.objects.Add(-float64(dropped))
 	st.ins.retained.Add(-float64(removed))
-	st.ins.indexSegments.Add(float64(segs - sh.idxSegs))
-	sh.idxSegs = segs
+	st.publishLocked(sh)
 	return removed, firstErr
 }
 

@@ -319,6 +319,7 @@ func TestStoreMetrics(t *testing.T) {
 	st := New(Options{
 		NewCompressor: func() stream.Compressor { return stream.New(compress.OPWTR{Threshold: 25}) },
 		Metrics:       reg,
+		SealEps:       10,
 	})
 	for i := 0; i < 50; i++ {
 		feed(t, st, "a", trajectory.Trajectory{trajectory.S(float64(i), float64(i*10), 0)})
@@ -356,9 +357,35 @@ func TestStoreMetrics(t *testing.T) {
 		}
 	}
 
+	// The index gauge counts the closed runs, which a zigzag that the
+	// compressor keeps almost whole fills.
+	for i := 0; i < 200; i++ {
+		feed(t, st, "c", trajectory.Trajectory{trajectory.S(float64(i), float64(i*20), float64(i%2*100))})
+	}
+	indexRuns := func(when string) {
+		t.Helper()
+		runs := 0
+		for _, sh := range st.shards {
+			for _, obj := range sh.objects {
+				runs += len(obj.runs)
+			}
+		}
+		gauge := -1.0
+		for _, m := range reg.Snapshot() {
+			if m.Name == "store_index_runs" {
+				gauge = m.Value
+			}
+		}
+		if runs == 0 || int(gauge) != runs {
+			t.Errorf("%s: store_index_runs = %v, want %d closed runs (> 0)", when, gauge, runs)
+		}
+	}
+	indexRuns("after appends")
+
 	// Eviction publishes deltas: the retained gauge must equal the store's
 	// own accounting afterwards.
 	removed := st.EvictBefore(5)
+	indexRuns("after EvictBefore")
 	stats := st.Stats()
 	for _, m := range reg.Snapshot() {
 		switch m.Name {
@@ -380,6 +407,10 @@ func TestStoreMetrics(t *testing.T) {
 			}
 		}
 	}
+	if _, err := st.SealBefore(100); err != nil {
+		t.Fatal(err)
+	}
+	indexRuns("after SealBefore")
 }
 
 // TestStatsPointsPerObject checks the per-object breakdown sums to the

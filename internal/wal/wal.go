@@ -209,8 +209,9 @@ func replay(f fault.File, apply func(Record) error) (int64, uint64, error) {
 	}
 	offset := int64(len(headerMagic))
 	var count uint64
+	rr := &recordReader{r: r}
 	for {
-		rec, size, err := readRecord(r)
+		rec, size, err := rr.next()
 		if err != nil {
 			return offset, count, nil // torn/corrupt/EOF tail: stop replay here
 		}
@@ -224,32 +225,45 @@ func replay(f fault.File, apply func(Record) error) (int64, uint64, error) {
 	}
 }
 
-func readRecord(r *bufio.Reader) (Record, int64, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+// recordReader reads records off a log stream without allocating per
+// record: the payload goes into one reused buffer, and the ID string is
+// reused while consecutive records carry the same ID, as the samples of one
+// MAPPEND do.
+type recordReader struct {
+	r    *bufio.Reader
+	word [4]byte             // length prefix, then CRC; a field, so it does not escape per call
+	buf  [maxIDLen + 25]byte // the largest plausible payload
+	id   string
+}
+
+// next reads one record and returns it with its encoded size.
+func (rr *recordReader) next() (Record, int64, error) {
+	if _, err := io.ReadFull(rr.r, rr.word[:]); err != nil {
 		return Record{}, 0, err
 	}
-	payloadLen := binary.LittleEndian.Uint32(lenBuf[:])
+	payloadLen := binary.LittleEndian.Uint32(rr.word[:])
 	if payloadLen < 25 || payloadLen > maxIDLen+25 {
 		return Record{}, 0, errors.New("wal: implausible record length")
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := rr.buf[:payloadLen]
+	if _, err := io.ReadFull(rr.r, payload); err != nil {
 		return Record{}, 0, err
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(rr.r, rr.word[:]); err != nil {
 		return Record{}, 0, err
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rr.word[:]) {
 		return Record{}, 0, errors.New("wal: checksum mismatch")
 	}
 	idLen := int(payload[0])
 	if 1+idLen+24 != int(payloadLen) {
 		return Record{}, 0, errors.New("wal: inconsistent record framing")
 	}
+	if id := payload[1 : 1+idLen]; string(id) != rr.id {
+		rr.id = string(id)
+	}
 	rec := Record{
-		ID: string(payload[1 : 1+idLen]),
+		ID: rr.id,
 		Sample: trajectory.Sample{
 			T: math.Float64frombits(binary.LittleEndian.Uint64(payload[1+idLen:])),
 			X: math.Float64frombits(binary.LittleEndian.Uint64(payload[1+idLen+8:])),
@@ -482,9 +496,9 @@ const HeaderLen = len(headerMagic)
 // stream), which a replication follower must treat as fatal for the
 // connection. It is the wire-side twin of the recovery replay loop.
 func Decode(buf []byte) (recs []Record, consumed int, err error) {
-	r := bufio.NewReader(bytes.NewReader(buf))
+	rr := &recordReader{r: bufio.NewReader(bytes.NewReader(buf))}
 	for {
-		rec, size, err := readRecord(r)
+		rec, size, err := rr.next()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return recs, consumed, nil // incomplete tail: wait for more bytes
